@@ -23,7 +23,7 @@
 use atmo_drivers::queue_for_seq;
 use atmo_mem::PagePtr;
 use atmo_spec::harness::{check, Invariant, VerifResult};
-use atmo_trace::{HttpdOutcome, TraceHandle, TraceShare};
+use atmo_trace::{TraceHandle, TraceShare};
 
 /// Modeled size of one connection slot; [`Conn`] must fit.
 pub const CONN_SLOT_SIZE: usize = 64;
@@ -296,7 +296,7 @@ impl ConnTable {
         self.map.insert(flow, slot);
         self.live += 1;
         self.opened += 1;
-        self.trace.httpd(HttpdOutcome::Accept, 1);
+        self.trace.record(1, |t, n| t.counters.httpd.accepts += n);
         Some(ConnId { slot, gen })
     }
 
@@ -317,7 +317,7 @@ impl ConnTable {
         self.free.push(id.slot);
         self.live -= 1;
         self.closed += 1;
-        self.trace.httpd(HttpdOutcome::Close, 1);
+        self.trace.record(1, |t, n| t.counters.httpd.closes += n);
         true
     }
 

@@ -36,7 +36,7 @@ use std::collections::VecDeque;
 use atmo_drivers::{seq_of, IxgbeDriver, PktBuf, PktPool, PKT_SLOT_SIZE};
 use atmo_hw::CycleMeter;
 use atmo_spec::harness::{check, Invariant, VerifResult};
-use atmo_trace::{HttpdOutcome, LatencyHist, TraceHandle, TraceShare};
+use atmo_trace::{LatencyHist, TraceHandle, TraceShare};
 
 use crate::conn::{Conn, ConnId, ConnTable};
 use crate::httpd::{HttpResponse, MAX_HEAD_LEN, MAX_REQUEST_LINE};
@@ -468,7 +468,8 @@ impl EventHttpd {
         let cascaded = self.wheel.cascades() - pre_cascades;
         if cascaded > 0 {
             meter.charge(EV_CASCADE_NODE_COST * cascaded);
-            self.trace.httpd(HttpdOutcome::WheelCascade, cascaded);
+            self.trace
+                .record(cascaded, |t, n| t.counters.httpd.wheel_cascades += n);
         }
         for &(slot, kind) in &expired {
             meter.charge(EV_TIMER_OP_COST);
@@ -493,7 +494,13 @@ impl EventHttpd {
         if freed > 0 {
             self.unpark(meter, freed);
         }
-        self.trace.httpd(HttpdOutcome::ReadyBatch, drained as u64);
+        // Every iteration is one poll sample, empty ones included: an
+        // idle tick costs O(ready), and `trace_wf` balances the samples
+        // against `httpd.polls`.
+        self.trace.record(1, |t, _| {
+            t.counters.httpd.polls += 1;
+            t.httpd_ready_hist.record(drained as u64);
+        });
         drained
     }
 
@@ -533,12 +540,14 @@ impl EventHttpd {
         debug_assert_eq!(c.timer_kind, kind, "timer kind drifted");
         let id = ConnId { slot, gen: c.gen };
         c.timer_kind = 0;
-        let outcome = match kind {
-            T_KEEPALIVE => HttpdOutcome::TimeoutKeepalive,
-            T_HEADER => HttpdOutcome::TimeoutHeader,
-            _ => HttpdOutcome::TimeoutDrain,
-        };
-        self.trace.httpd(outcome, 1);
+        self.trace.record(1, |t, n| {
+            let h = &mut t.counters.httpd;
+            match kind {
+                T_KEEPALIVE => h.timeouts_keepalive += n,
+                T_HEADER => h.timeouts_header += n,
+                _ => h.timeouts_drain += n,
+            }
+        });
         // The wheel already retired this timer; close without cancel.
         self.table.close(id);
     }
@@ -591,7 +600,7 @@ impl EventHttpd {
         match outcome {
             FeedOutcome::Incomplete => {}
             FeedOutcome::Malformed => {
-                self.trace.httpd(HttpdOutcome::Malformed, 1);
+                self.trace.record(1, |t, n| t.counters.httpd.malformed += n);
                 meter.charge(EV_TIMER_OP_COST);
                 self.close_conn(id);
             }
@@ -666,7 +675,7 @@ impl EventHttpd {
                 c.state = C_PARKED;
                 c.flags |= F_PARKED;
                 self.parked.push_back(id);
-                self.trace.httpd(HttpdOutcome::Parked, 1);
+                self.trace.record(1, |t, n| t.counters.httpd.parked += n);
                 return;
             };
             {
@@ -681,7 +690,7 @@ impl EventHttpd {
         }
         // Response fully queued.
         self.served += 1;
-        self.trace.httpd(HttpdOutcome::Served, 1);
+        self.trace.record(1, |t, n| t.counters.httpd.served += n);
         let done = {
             let c = self.table.slot_mut(id.slot);
             self.latency.record(meter.since(c.req_start));
@@ -724,7 +733,7 @@ impl EventHttpd {
             c.state = C_SENDING;
             c.flags &= !F_PARKED;
             meter.charge(EV_DISPATCH_COST);
-            self.trace.httpd(HttpdOutcome::Unparked, 1);
+            self.trace.record(1, |t, n| t.counters.httpd.unparked += n);
             self.enqueue_ready(id);
         }
     }

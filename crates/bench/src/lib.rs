@@ -1,10 +1,10 @@
 //! Benchmark harness for the Atmosphere reproduction.
 //!
 //! One `repro-*` binary per table/figure of the paper (see DESIGN.md's
-//! experiment index), plus Criterion microbenchmarks of the real hot
-//! paths in `benches/`. This library holds the shared measurement
-//! helpers: Table 3-style cycle measurements against the simulated
-//! kernel, and plain-text table rendering.
+//! experiment index), plus microbenchmarks of the real hot paths in
+//! `benches/` (plain binaries on [`microbench`]). This library holds
+//! the shared measurement helpers: Table 3-style cycle measurements
+//! against the simulated kernel, and plain-text table rendering.
 
 use atmo_kernel::{Kernel, KernelConfig, SyscallArgs};
 

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use atmo_mem::{DmaWindow, PagePtr};
 use atmo_spec::harness::{check, Invariant, VerifResult};
-use atmo_trace::{BlkOutcome, TraceHandle, TraceShare};
+use atmo_trace::{AuditDelta, TraceHandle, TraceShare};
 
 /// Fixed slot size: one NVMe logical block / one pinned 4 KiB frame.
 pub const BLK_SLOT_SIZE: usize = 4096;
@@ -176,7 +176,11 @@ impl BlkPool {
         match self.free.pop() {
             Some(slot) => {
                 self.acquired += 1;
-                self.trace.blk(BlkOutcome::PoolAcquire, 1);
+                self.trace.record(1, |t, _| {
+                    t.counters.blk.pool_acquired += 1;
+                    t.blk_in_flight += 1;
+                    t.audit(AuditDelta::HandleBlk(1));
+                });
                 Some(BlkBuf {
                     pool: self.id,
                     slot,
@@ -185,7 +189,8 @@ impl BlkPool {
             }
             None => {
                 self.exhausted += 1;
-                self.trace.blk(BlkOutcome::PoolExhausted, 1);
+                self.trace
+                    .record(1, |t, n| t.counters.blk.pool_exhausted += n);
                 None
             }
         }
@@ -208,7 +213,11 @@ impl BlkPool {
         );
         self.free.push(buf.slot);
         self.released += 1;
-        self.trace.blk(BlkOutcome::PoolRelease, 1);
+        self.trace.record(1, |t, _| {
+            t.counters.blk.pool_released += 1;
+            t.blk_in_flight -= 1;
+            t.audit(AuditDelta::HandleBlk(-1));
+        });
     }
 
     /// The device address of the handle's slot — what the submission
@@ -253,7 +262,8 @@ impl BlkPool {
     /// that still want ownership, releasing the slot.
     pub fn copy_out(&mut self, buf: BlkBuf) -> Vec<u8> {
         let bytes = self.data(&buf).to_vec();
-        self.trace.blk(BlkOutcome::Fallback, 1);
+        self.trace
+            .record(1, |t, n| t.counters.blk.fallback_copies += n);
         self.release(buf);
         bytes
     }

@@ -9,7 +9,7 @@
 //! `min(CPU rate, line rate)` — exactly the behaviour behind Figure 4.
 
 use atmo_hw::cycles::CycleMeter;
-use atmo_trace::{DeviceKind, KernelEvent, NetOutcome, TraceHandle, TraceShare};
+use atmo_trace::{DeviceKind, KernelEvent, TraceHandle, TraceShare};
 
 use crate::pkt::{Packet, PktGen};
 use crate::pool::{PktBuf, PktPool};
@@ -231,7 +231,10 @@ impl IxgbeDriver {
             device: DeviceKind::Ixgbe,
             batch: n as u64,
         });
-        self.trace.net(NetOutcome::RxBatch, n as u64);
+        self.trace.record(n as u64, |t, n| {
+            t.counters.net.rx_zc_batches += 1;
+            t.counters.net.rx_zc_frames += n;
+        });
         n
     }
 
@@ -259,7 +262,10 @@ impl IxgbeDriver {
             device: DeviceKind::Ixgbe,
             batch: n as u64,
         });
-        self.trace.net(NetOutcome::TxBatch, n as u64);
+        self.trace.record(n as u64, |t, n| {
+            t.counters.net.tx_zc_batches += 1;
+            t.counters.net.tx_zc_frames += n;
+        });
         n
     }
 

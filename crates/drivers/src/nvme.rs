@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 
 use atmo_hw::cycles::CycleMeter;
-use atmo_trace::{BlkOutcome, DeviceKind, KernelEvent, TraceHandle, TraceShare};
+use atmo_trace::{DeviceKind, KernelEvent, TraceHandle, TraceShare};
 
 use crate::blkpool::{BlkBuf, BlkPool};
 use crate::DriverCosts;
@@ -278,7 +278,10 @@ impl NvmeZcQueue {
             device: DeviceKind::Nvme,
             batch: n as u64,
         });
-        self.trace.blk(BlkOutcome::SubmitBatch, n as u64);
+        self.trace.record(n as u64, |t, n| {
+            t.counters.blk.submit_batches += 1;
+            t.counters.blk.submit_ios += n;
+        });
     }
 
     /// Reaps every completion that has finished by now, pushing the
@@ -302,7 +305,10 @@ impl NvmeZcQueue {
             device: DeviceKind::Nvme,
             batch: n,
         });
-        self.trace.blk(BlkOutcome::ReapBatch, n);
+        self.trace.record(n, |t, n| {
+            t.counters.blk.reap_batches += 1;
+            t.counters.blk.reap_ios += n;
+        });
         n
     }
 

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use atmo_mem::PagePtr;
 use atmo_spec::harness::{check, Invariant, VerifResult};
-use atmo_trace::{NetOutcome, TraceHandle, TraceShare};
+use atmo_trace::{AuditDelta, TraceHandle, TraceShare};
 
 use crate::pkt::Packet;
 
@@ -170,7 +170,11 @@ impl PktPool {
         match self.free.pop() {
             Some(slot) => {
                 self.acquired += 1;
-                self.trace.net(NetOutcome::PoolAcquire, 1);
+                self.trace.record(1, |t, _| {
+                    t.counters.net.pool_acquired += 1;
+                    t.net_in_flight += 1;
+                    t.audit(AuditDelta::HandleNet(1));
+                });
                 Some(PktBuf {
                     pool: self.id,
                     slot,
@@ -179,7 +183,8 @@ impl PktPool {
             }
             None => {
                 self.exhausted += 1;
-                self.trace.net(NetOutcome::PoolExhausted, 1);
+                self.trace
+                    .record(1, |t, n| t.counters.net.pool_exhausted += n);
                 None
             }
         }
@@ -202,7 +207,11 @@ impl PktPool {
         );
         self.free.push(buf.slot);
         self.released += 1;
-        self.trace.net(NetOutcome::PoolRelease, 1);
+        self.trace.record(1, |t, _| {
+            t.counters.net.pool_released += 1;
+            t.net_in_flight -= 1;
+            t.audit(AuditDelta::HandleNet(-1));
+        });
     }
 
     /// The full slot as a writable view (for in-place frame fills; set
@@ -235,7 +244,8 @@ impl PktPool {
         let pkt = Packet {
             data: self.data(&buf).to_vec(),
         };
-        self.trace.net(NetOutcome::Fallback, 1);
+        self.trace
+            .record(1, |t, n| t.counters.net.fallback_copies += n);
         self.release(buf);
         pkt
     }

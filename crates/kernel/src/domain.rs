@@ -39,6 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
+use atmo_hw::cycles::CycleMeter;
 use atmo_spec::{into_inner_recovering, lock_recovering};
 use atmo_trace::{ns_to_cycles, LockDomain, TraceHandle};
 
@@ -164,6 +165,7 @@ impl<T> DomainLock<T> {
             lock: self,
             cpu,
             contended,
+            wait: None,
             acquired_at: Instant::now(),
         }
     }
@@ -184,14 +186,30 @@ impl<T> DomainLock<T> {
     }
 }
 
-/// Guard for a [`DomainLock`]; releases the lock, reports the hold to
-/// the trace sink, and pops the held-level table on drop.
+/// Guard for a [`DomainLock`]; releases the lock, reports the hold (and
+/// the acquirer's modeled wait, if it synced) to the trace sink, and
+/// pops the held-level table on drop.
 pub struct DomainGuard<'a, T> {
     guard: Option<MutexGuard<'a, T>>,
     lock: &'a DomainLock<T>,
     cpu: usize,
     contended: bool,
+    /// Modeled cycles [`sync_meter`](Self::sync_meter) jumped the meter.
+    wait: Option<u64>,
     acquired_at: Instant,
+}
+
+impl<T> DomainGuard<'_, T> {
+    /// Syncs `meter` to the domain's modeled release time. The jump —
+    /// how far the acquirer's clock had to move to observe the domain —
+    /// is reported with this acquisition on release, into the domain's
+    /// lock-wait histogram (zero waits too: they are the uncontended
+    /// baseline the percentiles are measured against).
+    pub fn sync_meter(&mut self, meter: &mut CycleMeter) {
+        let released = self.lock.model_time();
+        self.wait = Some(released.saturating_sub(meter.now()));
+        meter.sync_to(released);
+    }
 }
 
 impl<T> Deref for DomainGuard<'_, T> {
@@ -215,7 +233,7 @@ impl<T> Drop for DomainGuard<'_, T> {
             let held = ns_to_cycles(self.acquired_at.elapsed().as_nanos() as u64);
             self.lock
                 .trace
-                .lock_event(self.cpu, domain, self.contended, held);
+                .lock_event(self.cpu, domain, self.contended, held, self.wait);
         }
     }
 }

@@ -34,9 +34,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use atmo_hw::addr::{PAGE_SIZE_2M, PAGE_SIZE_4K};
 use atmo_nr::{NodeReplicated, NrDispatch};
 use atmo_pm::ProcessManager;
+use atmo_ptable::{MapEntry, PageTable};
 use atmo_spec::harness::VerifResult;
+use atmo_spec::Map;
 
 use crate::syscall::SyscallArgs;
 use crate::vm::VmSubsystem;
@@ -167,52 +170,107 @@ impl NrDispatch for PmView {
     }
 }
 
-/// The mem domain's read-optimized projection: address space →
-/// (page-aligned va → writable) mapping summaries, including empty
-/// spaces (their existence is observable).
+/// One mapping as the mem replicas see it: a 4 KiB page, or a whole
+/// 2 MiB superpage (promoted or explicit), keyed like the authoritative
+/// table keys it — a page at its own va, a superpage at its 2 MiB-aligned
+/// base.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Leaf {
+    /// The mapping is writable.
+    pub writable: bool,
+    /// The mapping is a 2 MiB superpage.
+    pub huge: bool,
+}
+
+impl Leaf {
+    /// The mapping covering page-aligned `va` in `table`, with the va it
+    /// is keyed at (`va` itself, or the base of the superpage over it).
+    pub fn covering(table: &PageTable, va: usize) -> Option<(usize, Leaf)> {
+        if let Some(e) = table.map_4k.index(&va) {
+            let leaf = Leaf {
+                writable: e.flags.writable,
+                huge: false,
+            };
+            return Some((va, leaf));
+        }
+        let base = va & !(PAGE_SIZE_2M - 1);
+        table.map_2m.index(&base).map(|e| {
+            let leaf = Leaf {
+                writable: e.flags.writable,
+                huge: true,
+            };
+            (base, leaf)
+        })
+    }
+}
+
+/// One address space in a [`MemView`]: writable bits by mapping base.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SpaceView {
+    /// 4 KiB page va → writable.
+    pub pages: BTreeMap<usize, bool>,
+    /// 2 MiB superpage base → writable: one entry per superpage, as in
+    /// the authoritative `map_2m`.
+    pub superpages: BTreeMap<usize, bool>,
+}
+
+/// The mem domain's read-optimized projection: address space → mapping
+/// summaries, including empty spaces (their existence is observable). A
+/// superpage stays one entry, so a full re-projection costs one entry
+/// per mapping, not per 4 KiB page.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemView {
-    /// space → va → writable. Superpage promotion is transparent: the
-    /// authoritative ghost `map_4k` keeps per-4K entries either way.
-    pub spaces: BTreeMap<usize, BTreeMap<usize, bool>>,
+    /// space → its mappings.
+    pub spaces: BTreeMap<usize, SpaceView>,
 }
 
 impl MemView {
     /// Projects the authoritative VM state. Called under the mem lock.
     pub fn project(vm: &VmSubsystem) -> MemView {
+        let writable = |map: &Map<usize, MapEntry>| -> BTreeMap<usize, bool> {
+            map.iter().map(|(va, e)| (*va, e.flags.writable)).collect()
+        };
         let mut spaces = BTreeMap::new();
         for id in vm.spaces().iter() {
             let table = vm.table(*id).expect("live space has a table");
-            let mut pages = BTreeMap::new();
-            for (va, entry) in table.map_4k.iter() {
-                pages.insert(*va, entry.flags.writable);
-            }
-            spaces.insert(*id, pages);
+            let space = SpaceView {
+                pages: writable(&table.map_4k),
+                superpages: writable(&table.map_2m),
+            };
+            spaces.insert(*id, space);
         }
         MemView { spaces }
     }
 
-    /// `vm_resolve` against this replica: `Some(writable)` when the
-    /// page containing `va` is mapped in `space`.
+    /// `vm_resolve` against this replica: `Some(writable)` when the page
+    /// containing `va` is mapped in `space`, by a 4 KiB page or by the
+    /// superpage over it.
     pub fn resolve(&self, space: usize, va: usize) -> Option<bool> {
-        self.spaces.get(&space)?.get(&(va & !0xFFF)).copied()
+        let s = self.spaces.get(&space)?;
+        s.pages
+            .get(&(va & !(PAGE_SIZE_4K - 1)))
+            .or_else(|| s.superpages.get(&(va & !(PAGE_SIZE_2M - 1))))
+            .copied()
     }
 }
 
 /// One mem-log entry.
 #[derive(Clone, Debug)]
 pub enum MemOp {
-    /// Absolute mapping summaries for a va set in one space: `Some(w)`
-    /// sets, `None` clears (the staged mmap/munmap commit, read back
-    /// from the authoritative table under the mem lock).
+    /// Absolute mapping summaries for a va set in one space: `Some(leaf)`
+    /// sets the leaf keyed at that va, `None` unmaps the page (the
+    /// staged mmap/munmap commit, read back from the authoritative table
+    /// under the mem lock). Unmapping a page inside a superpage demotes
+    /// it first, as the authoritative unmap does, so its other pages
+    /// survive as 4 KiB leaves.
     MapRange {
         /// Target address space.
         space: usize,
-        /// (page-aligned va, writable-or-unmapped) pairs.
-        pages: Vec<(usize, Option<bool>)>,
+        /// (page-aligned va, leaf-or-unmapped) pairs.
+        pages: Vec<(usize, Option<Leaf>)>,
     },
-    /// Full re-projection (space create/destroy, grant maps, superpage
-    /// ops — anything beyond a staged commit's own range).
+    /// Full re-projection (space create/destroy, grant maps, explicit
+    /// superpage ops — anything beyond a staged commit's own range).
     Reset(MemView),
 }
 
@@ -223,15 +281,19 @@ impl NrDispatch for MemView {
         match op {
             MemOp::MapRange { space, pages } => {
                 let s = self.spaces.entry(*space).or_default();
-                for (va, w) in pages {
-                    match w {
-                        Some(w) => {
-                            s.insert(*va, *w);
-                        }
+                for &(va, leaf) in pages {
+                    match leaf {
+                        Some(l) if l.huge => s.superpages.insert(va, l.writable),
+                        Some(l) => s.pages.insert(va, l.writable),
                         None => {
-                            s.remove(va);
+                            let base = va & !(PAGE_SIZE_2M - 1);
+                            if let Some(w) = s.superpages.remove(&base) {
+                                let run = (base..base + PAGE_SIZE_2M).step_by(PAGE_SIZE_4K);
+                                s.pages.extend(run.map(|p| (p, w)));
+                            }
+                            s.pages.remove(&va)
                         }
-                    }
+                    };
                 }
             }
             MemOp::Reset(v) => *self = v.clone(),
@@ -367,9 +429,13 @@ mod tests {
         assert_eq!(v, PmView::project(&k.pm, 4));
         let mut m = mem_before.clone();
         let as_id = before.current_addr_space(0).unwrap();
+        let page = Leaf {
+            writable: true,
+            huge: false,
+        };
         m.apply(&MemOp::MapRange {
             space: as_id,
-            pages: vec![(0x40_0000, Some(true)), (0x40_1000, Some(true))],
+            pages: vec![(0x40_0000, Some(page)), (0x40_1000, Some(page))],
         });
         assert_eq!(m, MemView::project(&k.mem.vm));
         assert_eq!(m.resolve(as_id, 0x40_0123), Some(true));
@@ -378,6 +444,31 @@ mod tests {
             pages: vec![(0x40_0000, None)],
         });
         assert_eq!(m.resolve(as_id, 0x40_0000), None);
+    }
+
+    #[test]
+    fn unmapping_inside_a_superpage_leaf_demotes_it() {
+        let mut m = MemView::default();
+        let sp = Leaf {
+            writable: false,
+            huge: true,
+        };
+        m.apply(&MemOp::MapRange {
+            space: 1,
+            pages: vec![(0x4000_0000, Some(sp))],
+        });
+        assert_eq!(m.spaces[&1].superpages.len(), 1, "one entry per superpage");
+        assert_eq!(m.resolve(1, 0x401f_f123), Some(false));
+        assert_eq!(m.resolve(1, 0x4020_0000), None);
+        m.apply(&MemOp::MapRange {
+            space: 1,
+            pages: vec![(0x4000_5000, None)],
+        });
+        assert!(m.spaces[&1].superpages.is_empty());
+        assert_eq!(m.spaces[&1].pages.len(), 511, "the other pages survive");
+        assert_eq!(m.resolve(1, 0x4000_5000), None);
+        assert_eq!(m.resolve(1, 0x4000_0000), Some(false));
+        assert_eq!(m.resolve(1, 0x401f_f000), Some(false));
     }
 
     #[test]

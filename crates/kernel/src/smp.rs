@@ -68,12 +68,12 @@ use atmo_pm::types::{CpuId, CtnrPtr, ProcPtr, ThrdPtr};
 use atmo_pm::ProcessManager;
 use atmo_spec::harness::{check, Invariant, VerifResult};
 use atmo_spec::lock_recovering;
-use atmo_trace::{LockDomain, NrOutcome, Snapshot, TraceHandle};
+use atmo_trace::{AuditDelta, LockDomain, Snapshot, TraceHandle};
 
 use crate::audit::{AuditState, Auditor};
 use crate::domain::{DomainLock, LockLevel};
 use crate::kernel::{Kernel, MemDomain};
-use crate::nr::{pm_update_class, KernelNr, MemOp, MemView, PmOp, PmUpdateClass, PmView};
+use crate::nr::{pm_update_class, KernelNr, Leaf, MemOp, MemView, PmOp, PmUpdateClass, PmView};
 use crate::syscall::{
     dispatch_current, mmap_stage_mem, mmap_stage_pm, munmap_stage_mem, munmap_stage_pm,
     stage_validate, uncharge_stage_pm, ExecCtx, MemAccess, SyscallArgs, SyscallError,
@@ -291,7 +291,7 @@ impl SmpKernel {
         let mut pm_g = self.pm.lock(cpu);
         // Lock serialization in modeled time: a CPU entering the domain
         // observes at least the clock of the CPU that left it last.
-        self.sync_meter(&mut meter_g, self.pm.model_time(), LockDomain::Pm);
+        pm_g.sync_meter(&mut meter_g);
         // The snapshot slot is its own domain, locked only by the one
         // call that writes it.
         let mut snap_g = if matches!(args, SyscallArgs::TraceSnapshot) {
@@ -374,37 +374,38 @@ impl SmpKernel {
         ret
     }
 
-    /// Syncs `meter` to a domain lock's release timestamp, recording
-    /// the modeled wait — how far the acquirer's clock had to jump to
-    /// observe the domain — into the per-domain `lock.wait_cycles`
-    /// histogram (zero-wait acquisitions are recorded too; they are the
-    /// uncontended baseline the percentiles are measured against).
-    fn sync_meter(&self, meter: &mut CycleMeter, lock_model_time: u64, domain: LockDomain) {
-        self.trace
-            .lock_wait(domain, lock_model_time.saturating_sub(meter.now()));
-        meter.sync_to(lock_model_time);
-    }
-
     /// Charges and counts one replication-log append batch: a modeled
     /// cacheline copy per op appended and replayed, one ring doorbell
-    /// per flat-combining flush. Ledger recording (for the incremental
-    /// auditor's `NrAppended` balance) rides on the `Append` event.
+    /// per flat-combining flush.
     fn nr_append_charge(&self, meter: &mut CycleMeter, stats: AppendStats) {
         meter.charge(
             self.costs.copy_cacheline * (stats.appended + stats.replayed)
                 + self.costs.ring_op * stats.combine_batches,
         );
-        self.trace.nr_event(NrOutcome::Append, stats.appended);
+        self.nr_append_count(stats);
+    }
+
+    /// Counts one replication-log append batch. The appended count
+    /// doubles as the incremental auditor's `NrAppended` ledger delta,
+    /// balanced against the logs' published tails.
+    fn nr_append_count(&self, stats: AppendStats) {
+        self.trace.record(stats.appended, |t, n| {
+            t.counters.nr.appended += n;
+            t.audit(AuditDelta::NrAppended(n));
+        });
+        self.trace.record(stats.combine_batches, |t, n| {
+            t.counters.nr.combine_batches += n
+        });
         self.trace
-            .nr_event(NrOutcome::CombineBatch, stats.combine_batches);
-        self.trace.nr_event(NrOutcome::Replay, stats.replayed);
+            .record(stats.replayed, |t, n| t.counters.nr.replayed += n);
     }
 
     /// Charges and counts a read-side replica catch-up (a modeled
     /// cacheline copy per op replayed).
     fn nr_read_charge(&self, meter: &mut CycleMeter, replayed: u64) {
         meter.charge(self.costs.copy_cacheline * replayed);
-        self.trace.nr_event(NrOutcome::Replay, replayed);
+        self.trace
+            .record(replayed, |t, n| t.counters.nr.replayed += n);
     }
 
     /// Serves a replicated read from `cpu`'s local replicas: replay to
@@ -482,7 +483,7 @@ impl SmpKernel {
             }
             _ => unreachable!("nr_read() admits only replica-served reads"),
         };
-        self.trace.nr_event(NrOutcome::ReadLocal, 1);
+        self.trace.record(1, |t, n| t.counters.nr.read_local += n);
         meter.charge(self.costs.syscall_exit);
         self.trace
             .syscall_exit(cpu, kind, ret.trace_class(), meter.now() - entered);
@@ -535,7 +536,7 @@ impl SmpKernel {
         };
         let plan = {
             let mut pm_g = self.pm.lock(cpu);
-            self.sync_meter(meter, self.pm.model_time(), LockDomain::Pm);
+            pm_g.sync_meter(meter);
             let shard = pm_g.as_mut().expect("pm domain present");
             let r = mmap_stage_pm(&mut shard.pm, cpu, range, len, writable);
             if let Ok(plan) = &r {
@@ -554,7 +555,7 @@ impl SmpKernel {
         };
         let ret = {
             let mut mem_g = self.mem.lock(cpu);
-            self.sync_meter(meter, self.mem.model_time(), LockDomain::Mem);
+            mem_g.sync_meter(meter);
             let m = mem_g.as_mut().expect("mem domain present");
             let r = mmap_stage_mem(&self.costs, meter, m, &plan);
             if r.is_ok() {
@@ -587,7 +588,7 @@ impl SmpKernel {
         };
         let plan = {
             let mut pm_g = self.pm.lock(cpu);
-            self.sync_meter(meter, self.pm.model_time(), LockDomain::Pm);
+            pm_g.sync_meter(meter);
             let shard = pm_g.as_mut().expect("pm domain present");
             let r = munmap_stage_pm(&mut shard.pm, cpu, range, len);
             drop(pm_g);
@@ -600,7 +601,7 @@ impl SmpKernel {
         };
         let ret = {
             let mut mem_g = self.mem.lock(cpu);
-            self.sync_meter(meter, self.mem.model_time(), LockDomain::Mem);
+            mem_g.sync_meter(meter);
             let m = mem_g.as_mut().expect("mem domain present");
             let r = munmap_stage_mem(&self.costs, meter, m, &plan);
             if r.is_ok() {
@@ -620,7 +621,7 @@ impl SmpKernel {
     /// The pm-side quota epilogue of a staged call.
     fn staged_uncharge(&self, cpu: CpuId, meter: &mut CycleMeter, cntr: CtnrPtr, pages: usize) {
         let mut pm_g = self.pm.lock(cpu);
-        self.sync_meter(meter, self.pm.model_time(), LockDomain::Pm);
+        pm_g.sync_meter(meter);
         let shard = pm_g.as_mut().expect("pm domain present");
         uncharge_stage_pm(&mut shard.pm, cntr, pages);
         self.nr_append_quota(cpu, meter, &shard.pm, cntr);
@@ -665,14 +666,18 @@ impl SmpKernel {
         plan: &crate::syscall::MemStagePlan,
     ) {
         if let Some(nr) = self.nr.get() {
+            let table = m.vm.table(plan.as_id);
+            // A page under a superpage based elsewhere in the range is
+            // spoken for by the base's leaf.
             let pages = plan
                 .range
                 .iter()
-                .map(|va| {
-                    let w =
-                        m.vm.table(plan.as_id)
-                            .and_then(|t| t.map_4k.index(&va.as_usize()).map(|e| e.flags.writable));
-                    (va.as_usize(), w)
+                .filter_map(|va| {
+                    let va = va.as_usize();
+                    match table.and_then(|t| Leaf::covering(t, va)) {
+                        Some((base, leaf)) => (base == va).then_some((va, Some(leaf))),
+                        None => Some((va, None)),
+                    }
                 })
                 .collect();
             let stats = nr.mem.append(
@@ -744,14 +749,11 @@ impl SmpKernel {
             let s2 = nr
                 .mem
                 .append(0, vec![MemOp::Reset(MemView::project(&k.mem.vm))]);
-            self.trace
-                .nr_event(NrOutcome::Append, s1.appended + s2.appended);
-            self.trace.nr_event(
-                NrOutcome::CombineBatch,
-                s1.combine_batches + s2.combine_batches,
-            );
-            self.trace
-                .nr_event(NrOutcome::Replay, s1.replayed + s2.replayed);
+            self.nr_append_count(AppendStats {
+                appended: s1.appended + s2.appended,
+                combine_batches: s1.combine_batches + s2.combine_batches,
+                replayed: s1.replayed + s2.replayed,
+            });
         }
 
         // Disassemble back into the domains.
@@ -838,7 +840,13 @@ impl SmpKernel {
                 Some(d) => e.with_ledger_entry(format!("last of {touched} folded entries: {d:?}")),
                 None => e,
             });
-        trace.audit_event(true, touched, start.elapsed().as_nanos() as u64);
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        trace.record(1, |t, _| {
+            t.counters.audit.incremental += 1;
+            t.counters.audit.touched_entries += touched;
+            t.audit_incremental_hist.record(wall_ns);
+            t.audit_touched_hist.record(touched);
+        });
         r
     }
 
@@ -860,7 +868,11 @@ impl SmpKernel {
             None => {
                 // No ledger machinery: still count the paired
                 // incremental audit point (zero entries touched).
-                self.trace.audit_event(true, 0, 0);
+                self.trace.record(1, |t, _| {
+                    t.counters.audit.incremental += 1;
+                    t.audit_incremental_hist.record(0);
+                    t.audit_touched_hist.record(0);
+                });
             }
         }
         let start = std::time::Instant::now();
@@ -924,8 +936,11 @@ impl SmpKernel {
             }
             Ok(())
         });
-        self.trace
-            .audit_event(false, 0, start.elapsed().as_nanos() as u64);
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        self.trace.record(1, |t, _| {
+            t.counters.audit.full += 1;
+            t.audit_full_hist.record(wall_ns);
+        });
         r
     }
 

@@ -26,10 +26,11 @@ use atmo_pm::manager::{RecvOutcome, ReplyRecvOutcome, SendOutcome};
 use atmo_pm::types::{CpuId, CtnrPtr, EdptIdx, IpcPayload, PmError, ProcPtr, ThrdPtr};
 use atmo_pm::ProcessManager;
 use atmo_ptable::MapError;
-use atmo_trace::{AuditDelta, NrOutcome, Snapshot, TraceHandle, VmOutcome};
+use atmo_trace::{AuditDelta, Snapshot, TraceHandle};
 
 use crate::domain::{DomainGuard, DomainLock};
 use crate::kernel::{Kernel, MemDomain};
+use crate::nr::Leaf;
 
 /// System-call arguments (the union of all entry points).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -703,7 +704,8 @@ impl ExecCtx<'_> {
     /// here only when node replication is off (counted as a fallback).
     fn sys_getpid(&mut self, t: ThrdPtr) -> SyscallReturn {
         self.charge(self.costs.syscall_validate);
-        self.trace.nr_event(NrOutcome::FallbackLocked, 1);
+        self.trace
+            .record(1, |t, n| t.counters.nr.fallback_locked += n);
         let th = self.pm.thrd(t);
         SyscallReturn::ok([th.owning_proc as u64, th.owning_cntr as u64, 0, 0])
     }
@@ -711,7 +713,8 @@ impl ExecCtx<'_> {
     /// `thread_lookup`: a thread's owning process and container.
     fn sys_thread_lookup(&mut self, thread: ThrdPtr) -> SyscallReturn {
         self.charge(self.costs.syscall_validate);
-        self.trace.nr_event(NrOutcome::FallbackLocked, 1);
+        self.trace
+            .record(1, |t, n| t.counters.nr.fallback_locked += n);
         if !self.pm.thrd_perms.contains(thread) {
             return SyscallReturn::err(SyscallError::NotFound);
         }
@@ -723,7 +726,8 @@ impl ExecCtx<'_> {
     /// descriptor table.
     fn sys_descriptor_resolve(&mut self, t: ThrdPtr, slot: EdptIdx) -> SyscallReturn {
         self.charge(self.costs.syscall_validate);
-        self.trace.nr_event(NrOutcome::FallbackLocked, 1);
+        self.trace
+            .record(1, |t, n| t.counters.nr.fallback_locked += n);
         match self
             .pm
             .thrd(t)
@@ -745,7 +749,8 @@ impl ExecCtx<'_> {
     fn sys_vm_resolve(&mut self, t: ThrdPtr, va: usize) -> SyscallReturn {
         let costs = self.costs;
         self.charge(costs.syscall_validate + costs.pt_walk_cached_read);
-        self.trace.nr_event(NrOutcome::FallbackLocked, 1);
+        self.trace
+            .record(1, |t, n| t.counters.nr.fallback_locked += n);
         let proc_ptr = self.pm.thrd(t).owning_proc;
         let as_id = self.pm.proc(proc_ptr).addr_space;
         let writable = self
@@ -753,7 +758,8 @@ impl ExecCtx<'_> {
             .domain()
             .vm
             .table(as_id)
-            .and_then(|table| table.map_4k.index(&(va & !0xFFF)).map(|e| e.flags.writable));
+            .and_then(|table| Leaf::covering(table, va & !(PAGE_SIZE_4K - 1)))
+            .map(|(_, leaf)| leaf.writable);
         match writable {
             Some(w) => SyscallReturn::ok([1, w as u64, 0, 0]),
             None => SyscallReturn::ok([0, 0, 0, 0]),
@@ -1600,7 +1606,9 @@ fn mmap_batched_rollback(
         let pt = mem.vm.table_mut(as_id).expect("space exists");
         pt.flush_shootdowns()
     };
-    mem.vm.trace_vm(VmOutcome::ShootdownFlushed, flushed);
+    mem.vm
+        .trace()
+        .record(flushed, |t, n| t.counters.vm.tlb_shootdowns_flushed += n);
 }
 
 /// The batched `mmap` datapath (the tentpole):
@@ -1660,8 +1668,12 @@ fn mmap_batched_mem(
                             + costs.page_state_update,
                     );
                     mem.vm.note_promoted(plan.as_id, va);
-                    mem.vm.trace_vm(VmOutcome::SuperpagePromotion, 1);
-                    mem.vm.trace_vm(VmOutcome::ShootdownDeferred, frames_2m);
+                    mem.vm
+                        .trace()
+                        .record(1, |t, n| t.counters.vm.superpage_promotions += n);
+                    mem.vm
+                        .trace()
+                        .record(frames_2m, |t, n| t.counters.vm.tlb_shootdowns_deferred += n);
                     promoted.push((va, head));
                     va += PAGE_SIZE_2M;
                     continue;
@@ -1706,9 +1718,12 @@ fn mmap_batched_mem(
                     stats.first_walks as u64 * costs.map_fill_first_page()
                         + stats.cached_fills as u64 * costs.map_fill_next_page(),
                 );
-                mem.vm
-                    .trace_vm(VmOutcome::MapBatchHit, stats.cached_fills as u64);
-                mem.vm.trace_vm(VmOutcome::ShootdownDeferred, npages as u64);
+                mem.vm.trace().record(stats.cached_fills as u64, |t, n| {
+                    t.counters.vm.map_batch_hits += n
+                });
+                mem.vm.trace().record(npages as u64, |t, n| {
+                    t.counters.vm.tlb_shootdowns_deferred += n
+                });
                 mapped_4k.push((va, frames));
             }
             Err(e) => {
@@ -1731,7 +1746,9 @@ fn mmap_batched_mem(
     if flushed > 0 {
         meter.charge(costs.tlb_shootdown_batch);
     }
-    mem.vm.trace_vm(VmOutcome::ShootdownFlushed, flushed);
+    mem.vm
+        .trace()
+        .record(flushed, |t, n| t.counters.vm.tlb_shootdowns_flushed += n);
     SyscallReturn::ok([plan.range.base.as_usize() as u64, plan.len as u64, 0, 0])
 }
 
@@ -1835,8 +1852,12 @@ pub(crate) fn munmap_stage_mem(
         };
         mem.alloc.split_mapped_2m(frame_head);
         mem.vm.clear_promoted(plan.as_id, head);
-        mem.vm.trace_vm(VmOutcome::SuperpageDemotion, 1);
-        mem.vm.trace_vm(VmOutcome::ShootdownDeferred, frames_2m);
+        mem.vm
+            .trace()
+            .record(1, |t, n| t.counters.vm.superpage_demotions += n);
+        mem.vm
+            .trace()
+            .record(frames_2m, |t, n| t.counters.vm.tlb_shootdowns_deferred += n);
     }
     // Walk-cached batched unmap of the (now uniformly 4 KiB) range.
     let (frames, stats) = {
@@ -1852,10 +1873,12 @@ pub(crate) fn munmap_stage_mem(
             * (3 * costs.pt_level_read + costs.pt_level_write + costs.page_state_update)
             + stats.cached_fills as u64 * costs.unmap_fill_page(),
     );
-    mem.vm
-        .trace_vm(VmOutcome::MapBatchHit, stats.cached_fills as u64);
-    mem.vm
-        .trace_vm(VmOutcome::ShootdownDeferred, plan.len as u64);
+    mem.vm.trace().record(stats.cached_fills as u64, |t, n| {
+        t.counters.vm.map_batch_hits += n
+    });
+    mem.vm.trace().record(plan.len as u64, |t, n| {
+        t.counters.vm.tlb_shootdowns_deferred += n
+    });
     for frame in frames {
         mem.alloc.dec_map_ref(frame);
     }
@@ -1867,7 +1890,9 @@ pub(crate) fn munmap_stage_mem(
     if flushed > 0 {
         meter.charge(costs.tlb_shootdown_batch);
     }
-    mem.vm.trace_vm(VmOutcome::ShootdownFlushed, flushed);
+    mem.vm
+        .trace()
+        .record(flushed, |t, n| t.counters.vm.tlb_shootdowns_flushed += n);
     SyscallReturn::ok([plan.len as u64, 0, 0, 0])
 }
 

@@ -22,7 +22,7 @@
 
 use atmo_hw::VAddr;
 use atmo_pm::types::ThrdPtr;
-use atmo_trace::{BlkOutcome, DeviceKind, KernelEvent};
+use atmo_trace::{DeviceKind, KernelEvent};
 
 use crate::blk::{BlkOp, BLK_SQ_CAPACITY};
 use crate::syscall::{ExecCtx, SyscallError, SyscallReturn};
@@ -95,8 +95,10 @@ impl ExecCtx<'_> {
             device: DeviceKind::Nvme,
             batch: ops.len() as u64,
         });
-        self.trace
-            .blk_event(BlkOutcome::SubmitBatch, ops.len() as u64);
+        self.trace.record(ops.len() as u64, |t, n| {
+            t.counters.blk.submit_batches += 1;
+            t.counters.blk.submit_ios += n;
+        });
         ok([ops.len() as u64, q.in_flight() as u64, 0, 0])
     }
 
@@ -141,7 +143,7 @@ impl ExecCtx<'_> {
                 .cycles_until_completion(self.meter.now())
                 .expect("in_flight > 0");
             self.meter.charge(sleep + costs.ipc_fastpath);
-            self.trace.blk_event(BlkOutcome::Wakeup, 1);
+            self.trace.record(1, |t, n| t.counters.blk.wakeups += n);
             q.poll(self.meter.now());
         }
         let n = q.take_done(max);
@@ -151,7 +153,10 @@ impl ExecCtx<'_> {
             device: DeviceKind::Nvme,
             batch: n as u64,
         });
-        self.trace.blk_event(BlkOutcome::ReapBatch, n as u64);
+        self.trace.record(n as u64, |t, n| {
+            t.counters.blk.reap_batches += 1;
+            t.counters.blk.reap_ios += n;
+        });
         ok([n as u64, q.in_flight() as u64, q.done_pending() as u64, 0])
     }
 }

@@ -210,9 +210,12 @@ impl ExecCtx<'_> {
             m.alloc.split_mapped_2m(frame_head);
             m.vm.clear_promoted(as_id, head);
             self.meter.charge(costs.tlb_shootdown_batch);
-            m.vm.trace_vm(atmo_trace::VmOutcome::SuperpageDemotion, 1);
-            m.vm.trace_vm(atmo_trace::VmOutcome::ShootdownDeferred, frames_2m);
-            m.vm.trace_vm(atmo_trace::VmOutcome::ShootdownFlushed, frames_2m);
+            m.vm.trace()
+                .record(1, |t, n| t.counters.vm.superpage_demotions += n);
+            m.vm.trace()
+                .record(frames_2m, |t, n| t.counters.vm.tlb_shootdowns_deferred += n);
+            m.vm.trace()
+                .record(frames_2m, |t, n| t.counters.vm.tlb_shootdowns_flushed += n);
         }
         // Resolve the caller's mapping (only your own memory can be made
         // DMA-visible — the isolation-preserving rule).

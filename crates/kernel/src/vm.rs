@@ -12,7 +12,7 @@ use atmo_mem::{closure_partition_wf, AllocError, PageAllocator, PageClosure, Pag
 use atmo_ptable::{refinement_wf, Iommu, PageTable};
 use atmo_spec::harness::{check, Invariant, VerifResult};
 use atmo_spec::{Map, Set};
-use atmo_trace::{AuditDelta, TraceHandle, TraceShare, VmOutcome};
+use atmo_trace::{AuditDelta, TraceHandle, TraceShare};
 
 /// Address-space identifier (one per process; see
 /// [`atmo_pm::Process::addr_space`]).
@@ -87,10 +87,10 @@ impl VmSubsystem {
             .is_some_and(|set| set.contains(&va))
     }
 
-    /// Counts `n` batched-datapath observations into the trace sink
-    /// (no-op when detached).
-    pub fn trace_vm(&self, outcome: VmOutcome, n: u64) {
-        self.trace.vm(outcome, n);
+    /// The trace share the batched datapath records its counters into
+    /// (detached until [`attach_trace`](Self::attach_trace)).
+    pub fn trace(&self) -> &TraceShare {
+        &self.trace
     }
 
     /// Routes map/unmap events from every page table — current and

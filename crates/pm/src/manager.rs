@@ -4,7 +4,7 @@
 use atmo_mem::{PageClosure, PagePermission, PagePtr, PageSource};
 use atmo_spec::harness::{check, Invariant, VerifResult};
 use atmo_spec::{Map, PPtr, PermMap, Set};
-use atmo_trace::{AuditDelta, FastpathOutcome, KernelEvent, TraceHandle, TraceShare};
+use atmo_trace::{AuditDelta, FastpathCounters, KernelEvent, TraceHandle, TraceShare};
 
 use crate::container::{container_tree_wf, cpu_partition_wf, quota_wf, Container};
 use crate::endpoint::{endpoints_wf, Endpoint, QueueSide};
@@ -46,6 +46,10 @@ pub enum ReplyRecvOutcome {
     /// Slow path: reply sent, replier blocked awaiting the next request.
     Blocked,
 }
+
+/// Why an IPC fastpath attempt fell back to the slow rendezvous, as the
+/// [`FastpathCounters`] fallback field it bumps.
+type FallbackCounter = fn(&mut FastpathCounters);
 
 /// Maximum consecutive direct handoffs on one CPU before the fast path
 /// yields to the ready queue (starvation guard: a ping-pong pair must
@@ -795,14 +799,16 @@ impl ProcessManager {
                 Some(e),
                 "stale descriptor-slot cache entry"
             );
-            self.trace.fastpath(FastpathOutcome::SlotCacheHit);
+            self.trace
+                .record(1, |t, n| t.counters.pm.fastpath.slot_cache_hits += n);
             return Ok(e);
         }
         let e = self
             .thrd(t)
             .descriptor(slot)
             .ok_or(PmError::InvalidArgument)?;
-        self.trace.fastpath(FastpathOutcome::SlotCacheMiss);
+        self.trace
+            .record(1, |t, n| t.counters.pm.fastpath.slot_cache_misses += n);
         self.slot_cache.insert((t, slot), e);
         Ok(e)
     }
@@ -1101,30 +1107,30 @@ impl ProcessManager {
     }
 
     /// Why a `call` on endpoint `e` from `cpu` cannot take the direct
-    /// handoff, or `None` when it can.
+    /// handoff (as the fallback counter it bumps), or `None` when it can.
     fn call_miss_reason(
         &self,
         e: EdptPtr,
         cpu: CpuId,
         payload: &IpcPayload,
-    ) -> Option<FastpathOutcome> {
+    ) -> Option<FallbackCounter> {
         if Self::payload_carries_grant(payload) {
-            return Some(FastpathOutcome::CapTransfer);
+            return Some(|f| f.fallback_cap_transfer += 1);
         }
         let ep = self.edpt(e);
         if ep.side != QueueSide::Receivers {
             return Some(if ep.queue.is_full() {
-                FastpathOutcome::QueueFull
+                |f| f.fallback_queue_full += 1
             } else {
-                FastpathOutcome::WrongSide
+                |f| f.fallback_wrong_side += 1
             });
         }
         let r = ep.queue.get(0);
         if self.home_cpu.get(&r) != Some(&cpu) {
-            return Some(FastpathOutcome::CrossCpu);
+            return Some(|f| f.fallback_cross_cpu += 1);
         }
         if self.handoff_streak[cpu] >= HANDOFF_BUDGET {
-            return Some(FastpathOutcome::Budget);
+            return Some(|f| f.fallback_budget += 1);
         }
         None
     }
@@ -1147,7 +1153,8 @@ impl ProcessManager {
         self.check_running(t, cpu)?;
         let e = self.cached_descriptor(t, slot)?;
         if let Some(reason) = self.call_miss_reason(e, cpu, &payload) {
-            self.trace.fastpath(reason);
+            self.trace
+                .record(1, |t, _| reason(&mut t.counters.pm.fastpath));
             return self.call_with(t, cpu, e, payload).map(|o| (o, false));
         }
         let r = {
@@ -1175,7 +1182,8 @@ impl ProcessManager {
             self.sched.inherit(r, billed);
         }
         self.handoff_streak[cpu] += 1;
-        self.trace.fastpath(FastpathOutcome::Hit);
+        self.trace
+            .record(1, |t, n| t.counters.pm.fastpath.hits += n);
         // Same event pair as the slow rendezvous arm: the trace audit
         // reconciles counters against events exactly, so fast and slow
         // paths must be indistinguishable at the event level.
@@ -1191,27 +1199,28 @@ impl ProcessManager {
     }
 
     /// Why a `reply_recv` replying to `caller` and re-opening `e` from
-    /// `cpu` cannot take the direct handoff, or `None` when it can.
+    /// `cpu` cannot take the direct handoff (as the fallback counter it
+    /// bumps), or `None` when it can.
     fn reply_recv_miss_reason(
         &self,
         e: EdptPtr,
         cpu: CpuId,
         caller: ThrdPtr,
         payload: &IpcPayload,
-    ) -> Option<FastpathOutcome> {
+    ) -> Option<FallbackCounter> {
         if Self::payload_carries_grant(payload) {
-            return Some(FastpathOutcome::CapTransfer);
+            return Some(|f| f.fallback_cap_transfer += 1);
         }
         if self.home_cpu.get(&caller) != Some(&cpu) {
-            return Some(FastpathOutcome::CrossCpu);
+            return Some(|f| f.fallback_cross_cpu += 1);
         }
         if self.edpt(e).side == QueueSide::Senders {
             // A request is already queued: the slow path consumes it
             // instead of parking the replier.
-            return Some(FastpathOutcome::WrongSide);
+            return Some(|f| f.fallback_wrong_side += 1);
         }
         if self.handoff_streak[cpu] >= HANDOFF_BUDGET {
-            return Some(FastpathOutcome::Budget);
+            return Some(|f| f.fallback_budget += 1);
         }
         None
     }
@@ -1244,7 +1253,8 @@ impl ProcessManager {
             return Err(PmError::EndpointFull);
         }
         if let Some(reason) = self.reply_recv_miss_reason(e, cpu, caller, &payload) {
-            self.trace.fastpath(reason);
+            self.trace
+                .record(1, |t, _| reason(&mut t.counters.pm.fastpath));
             self.reply(t, cpu, payload)?;
             let out = match self.recv_with(t, cpu, e)? {
                 RecvOutcome::Received(p) => ReplyRecvOutcome::Received(p),
@@ -1269,7 +1279,8 @@ impl ProcessManager {
         // client's account.
         self.sched.clear_inherit(t);
         self.handoff_streak[cpu] += 1;
-        self.trace.fastpath(FastpathOutcome::Hit);
+        self.trace
+            .record(1, |t, n| t.counters.pm.fastpath.hits += n);
         // Same event pair as the slow `reply`.
         self.trace.emit(KernelEvent::EndpointSend {
             endpoint: reply_e,

@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use atmo_spec::harness::{check, VerifResult};
 use atmo_spec::PermMap;
-use atmo_trace::{ns_to_cycles, AuditDelta, KernelEvent, SchedOutcome, TraceHandle, TraceShare};
+use atmo_trace::{ns_to_cycles, AuditDelta, KernelEvent, TraceHandle, TraceShare};
 
 use crate::container::Container;
 use crate::thread::Thread;
@@ -317,7 +317,7 @@ impl Scheduler {
         c.len[level] += 1;
         c.occupancy |= 1 << level;
         self.index.insert(t, Loc::Queued { cpu, level, slot });
-        self.trace.sched(SchedOutcome::Enqueue, 1);
+        self.trace.record(1, |t, n| t.counters.sched.enqueues += n);
     }
 
     /// Unlinks slab `slot` from `cpu`'s level-`level` list (index entry
@@ -453,7 +453,7 @@ impl Scheduler {
             }
         }
         self.inherited.remove(&t);
-        self.trace.sched(SchedOutcome::Remove, 1);
+        self.trace.record(1, |t, n| t.counters.sched.removes += n);
         true
     }
 
@@ -473,7 +473,7 @@ impl Scheduler {
             let level = if self.mlfq_enabled {
                 let demoted = (picked + 1).min(MLFQ_LEVELS - 1);
                 if demoted > picked {
-                    self.trace.sched(SchedOutcome::Demote, 1);
+                    self.trace.record(1, |t, n| t.counters.sched.demotions += n);
                 }
                 demoted
             } else {
@@ -483,8 +483,7 @@ impl Scheduler {
         }
         let next = self.take_next(cpu);
         self.note_switch(cpu, prev, next);
-        self.trace
-            .sched_pick(ns_to_cycles(start.elapsed().as_nanos() as u64));
+        self.record_pick(start);
         next
     }
 
@@ -502,9 +501,18 @@ impl Scheduler {
         );
         let next = self.take_next(cpu);
         self.note_switch(cpu, None, next);
-        self.trace
-            .sched_pick(ns_to_cycles(start.elapsed().as_nanos() as u64));
+        self.record_pick(start);
         next
+    }
+
+    /// Counts one run-queue pick that started at `start`, landing its
+    /// cost in the pick-latency histogram under the same record.
+    fn record_pick(&self, start: Instant) {
+        let cycles = ns_to_cycles(start.elapsed().as_nanos() as u64);
+        self.trace.record(1, |t, _| {
+            t.counters.sched.picks += 1;
+            t.sched_pick_hist.record(cycles);
+        });
     }
 
     /// Pops the first queued thread and installs it as current.
@@ -666,7 +674,7 @@ impl Scheduler {
         let idx = acct.parked.len();
         acct.parked.push((t, cpu));
         self.index.insert(t, Loc::Parked { cntr, idx });
-        self.trace.sched(SchedOutcome::Park, 1);
+        self.trace.record(1, |t, n| t.counters.sched.parked += n);
     }
 
     /// Charges one timer tick of CPU time to `cntr`'s account.
@@ -703,7 +711,7 @@ impl Scheduler {
         if let Some(acct) = self.budgets.get_mut(&cntr) {
             if !acct.throttled {
                 acct.throttled = true;
-                self.trace.sched(SchedOutcome::Throttle, 1);
+                self.trace.record(1, |t, n| t.counters.sched.throttles += n);
             }
         }
     }
@@ -718,7 +726,7 @@ impl Scheduler {
             acct.admin_throttled = true;
             if !acct.throttled {
                 acct.throttled = true;
-                self.trace.sched(SchedOutcome::Throttle, 1);
+                self.trace.record(1, |t, n| t.counters.sched.throttles += n);
             }
         }
     }
@@ -822,7 +830,7 @@ impl Scheduler {
             if settled > 0 {
                 self.trace.audit(AuditDelta::BudgetCharge(settled));
             }
-            self.trace.sched(SchedOutcome::Refill, 1);
+            self.trace.record(1, |t, n| t.counters.sched.refills += n);
             if regained {
                 unparked.extend(self.unthrottle(cntr));
             }
@@ -843,11 +851,12 @@ impl Scheduler {
             }
             _ => return Vec::new(),
         };
-        self.trace.sched(SchedOutcome::Unthrottle, 1);
+        self.trace
+            .record(1, |t, n| t.counters.sched.unthrottles += n);
         for &(t, cpu) in &parked {
             self.index.remove(&t);
             self.push_level(cpu, t, 0);
-            self.trace.sched(SchedOutcome::Unpark, 1);
+            self.trace.record(1, |t, n| t.counters.sched.unparked += n);
         }
         parked
     }
@@ -860,7 +869,8 @@ impl Scheduler {
     /// collapse to the originating client.
     pub fn inherit(&mut self, t: ThrdPtr, cntr: CtnrPtr) {
         self.inherited.insert(t, cntr);
-        self.trace.sched(SchedOutcome::InheritHandoff, 1);
+        self.trace
+            .record(1, |t, n| t.counters.sched.inherited_handoffs += n);
     }
 
     /// Clears `t`'s inherited billing (the handoff unwound).

@@ -12,7 +12,7 @@ pub const HIST_BUCKETS: usize = 65;
 /// Fixed storage, O(1) record, percentiles reported as the upper bound
 /// of the containing bucket (standard log2-histogram resolution: within
 /// 2× of the true value).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LatencyHist {
     buckets: [u64; HIST_BUCKETS],
     count: u64,

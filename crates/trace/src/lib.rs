@@ -6,10 +6,12 @@
 //! measurement substrate for those paths in the reproduction: every
 //! kernel transition can emit a typed [`KernelEvent`] into a
 //! fixed-capacity per-CPU [`EventRing`], syscall latencies are folded
-//! into log2-bucketed [`LatencyHist`]s keyed by syscall kind, and each
-//! subsystem maintains a monotone [`Counters`] block. A merged
-//! [`Snapshot`] serializes all of it in the same plain-text report style
-//! as the `results/repro-*.txt` artefacts.
+//! into log2-bucketed [`LatencyHist`]s keyed by syscall kind, and every
+//! subsystem counter, gauge and histogram is declared once in the
+//! [`schema`] ([`TraceState`]), which generates its merge, its listing
+//! and its monotonicity audit. A merged [`Snapshot`] serializes all of
+//! it in the same plain-text report style as the `results/repro-*.txt`
+//! artefacts.
 //!
 //! Like every other subsystem in this reproduction, the trace state
 //! carries its own flat, quantifier-only well-formedness invariant
@@ -29,32 +31,32 @@
 //!   drives one simulated CPU at a time, so [`TraceSink`] keeps a
 //!   thread-local current-CPU cell set at syscall entry; subsystem code
 //!   deep in the call graph emits without threading a CPU id through
-//!   every signature, and the sink itself is sharded per CPU so distinct
-//!   CPUs never contend on emission.
+//!   every signature, and all trace state — counters, gauges and
+//!   histograms alike — lives in per-CPU shards that merge at snapshot
+//!   time, so distinct CPUs never contend on emission.
 //! * **Shared, not global** — the sink is per kernel instance
 //!   ([`TraceHandle`] = `Arc<TraceSink>`), so concurrently running
 //!   kernels (the test harness runs many) never mix events.
 
 pub mod audit;
-pub mod counters;
 pub mod event;
 pub mod hist;
 pub mod ring;
+pub mod schema;
 pub mod sink;
 pub mod snapshot;
 
 pub use audit::AuditDelta;
-pub use counters::{
-    AuditCounters, BlkCounters, Counters, DriverCounters, FastpathCounters, HttpdCounters,
-    LockCounters, LocksCounters, MemCounters, NetCounters, NrCounters, PmCounters, PtableCounters,
-    SchedCounters, VmCounters,
-};
 pub use event::{DeviceKind, EventKind, KernelEvent, ReturnClass, SyscallKind};
 pub use hist::LatencyHist;
 pub use ring::EventRing;
+pub use schema::{
+    AuditCounters, BlkCounters, Counters, DriverCounters, FastpathCounters, HttpdCounters,
+    LockCounters, LocksCounters, MemCounters, NetCounters, NrCounters, PmCounters, PtableCounters,
+    SchedCounters, TraceState, VmCounters,
+};
 pub use sink::{
-    ns_to_cycles, trace_wf, BlkOutcome, FastpathOutcome, HttpdOutcome, LockDomain, NetOutcome,
-    NrOutcome, SchedOutcome, SyscallStats, TraceHandle, TraceShare, TraceSink, VmOutcome,
+    ns_to_cycles, trace_wf, LockDomain, Shard, SyscallStats, TraceHandle, TraceShare, TraceSink,
 };
 pub use snapshot::{CpuSummary, Snapshot, SyscallSummary};
 

@@ -1,18 +1,21 @@
-//! The shared trace sink: per-CPU rings + histograms + counters behind
-//! one handle, with the `trace_wf` well-formedness audit.
+//! The shared trace sink: per-CPU shards behind one handle, with the
+//! `trace_wf` well-formedness audit.
 //!
-//! The sink is itself sharded per CPU: each simulated CPU owns a
-//! [`PerCpuTrace`] shard (ring + per-kind stats + its own [`Counters`]
-//! block) behind its own mutex, so concurrent syscalls on distinct CPUs
-//! never contend on trace emission. CPU attribution for deep-call-graph
-//! emissions uses a thread-local set at syscall entry, which is correct
-//! even without the big lock: each OS thread drives exactly one
-//! simulated CPU at a time. Trace-shard locks are the *last* locks in
-//! the kernel's total lock order and never acquire anything else, so
-//! they cannot participate in a deadlock cycle.
+//! Each simulated CPU owns a [`PerCpuTrace`] shard — its ring, per-kind
+//! syscall statistics, its [`TraceState`] (every schema counter, gauge
+//! and histogram) and its audit ledger — behind its own mutex, so
+//! concurrent syscalls on distinct CPUs never contend on trace emission,
+//! and an emission takes no other lock. Gauges and histograms merge at
+//! snapshot and audit time like the counters do. CPU attribution for
+//! deep-call-graph emissions uses a thread-local set at syscall entry,
+//! which is correct even without the big lock: each OS thread drives
+//! exactly one simulated CPU at a time. Trace-shard locks are the *last*
+//! locks in the kernel's total lock order and never acquire anything
+//! else, so they cannot participate in a deadlock cycle.
 
 use std::cell::Cell;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
@@ -21,15 +24,12 @@ use atmo_spec::harness::{check, Invariant, VerifResult};
 use atmo_spec::lock_recovering;
 
 use crate::audit::AuditDelta;
-use crate::counters::{
-    BlkCounters, Counters, FastpathCounters, HttpdCounters, NetCounters, NrCounters, SchedCounters,
-    VmCounters,
-};
 use crate::event::{
     EventKind, KernelEvent, ReturnClass, SyscallKind, NUM_EVENT_KINDS, NUM_SYSCALL_KINDS,
 };
 use crate::hist::LatencyHist;
 use crate::ring::EventRing;
+use crate::schema::{Counters, Field, Schema, TraceState};
 use crate::snapshot::{CpuSummary, Snapshot, SyscallSummary};
 
 /// Which kernel lock domain an acquisition belongs to, for the
@@ -51,316 +51,6 @@ impl LockDomain {
             LockDomain::Pm => "pm",
             LockDomain::Mem => "mem",
             LockDomain::Trace => "trace",
-        }
-    }
-}
-
-/// Outcome of one IPC fastpath attempt (or slot-cache probe), counted
-/// into [`FastpathCounters`] without a ring event — like lock
-/// acquisitions, these annotate operations that already have their own
-/// `EndpointSend`/`EndpointRecv` events, so pairing them with ring
-/// entries would double-count under the exact reconciliation audit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FastpathOutcome {
-    /// Direct handoff performed.
-    Hit,
-    /// Endpoint idle or queued on the sending side.
-    WrongSide,
-    /// Endpoint queue full.
-    QueueFull,
-    /// Partner homed on a different CPU.
-    CrossCpu,
-    /// Payload carries a capability grant (needs the mem domain).
-    CapTransfer,
-    /// Consecutive-handoff budget exhausted; yielded to the run queue.
-    Budget,
-    /// Descriptor-slot cache hit (validation skipped).
-    SlotCacheHit,
-    /// Descriptor-slot cache miss (full table lookup).
-    SlotCacheMiss,
-}
-
-impl FastpathOutcome {
-    fn count_into(self, fp: &mut FastpathCounters) {
-        match self {
-            FastpathOutcome::Hit => fp.hits += 1,
-            FastpathOutcome::WrongSide => fp.fallback_wrong_side += 1,
-            FastpathOutcome::QueueFull => fp.fallback_queue_full += 1,
-            FastpathOutcome::CrossCpu => fp.fallback_cross_cpu += 1,
-            FastpathOutcome::CapTransfer => fp.fallback_cap_transfer += 1,
-            FastpathOutcome::Budget => fp.fallback_budget += 1,
-            FastpathOutcome::SlotCacheHit => fp.slot_cache_hits += 1,
-            FastpathOutcome::SlotCacheMiss => fp.slot_cache_misses += 1,
-        }
-    }
-}
-
-/// One batched-VM-datapath observation. Like [`FastpathOutcome`] these
-/// are counter-only annotations: the ring events for the underlying
-/// allocator/page-table work are already emitted by those subsystems, so
-/// an extra ring entry would break the exact per-kind reconciliation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum VmOutcome {
-    /// Batched leaf fills that hit the walk cache (count = fills).
-    MapBatchHit,
-    /// A 512-page run was promoted to one 2 MiB entry.
-    SuperpagePromotion,
-    /// A promoted entry was split back to 512 4 KiB entries.
-    SuperpageDemotion,
-    /// Page invalidations queued for a deferred shootdown (count =
-    /// pages).
-    ShootdownDeferred,
-    /// Page invalidations broadcast by a batched flush (count = pages).
-    ShootdownFlushed,
-}
-
-impl VmOutcome {
-    fn count_into(self, vm: &mut VmCounters, n: u64) {
-        match self {
-            VmOutcome::MapBatchHit => vm.map_batch_hits += n,
-            VmOutcome::SuperpagePromotion => vm.superpage_promotions += n,
-            VmOutcome::SuperpageDemotion => vm.superpage_demotions += n,
-            VmOutcome::ShootdownDeferred => vm.tlb_shootdowns_deferred += n,
-            VmOutcome::ShootdownFlushed => vm.tlb_shootdowns_flushed += n,
-        }
-    }
-}
-
-/// One zero-copy-network-datapath observation. Like [`VmOutcome`] these
-/// are counter-only annotations: the batched RX/TX work already emits
-/// `DriverRx`/`DriverTx` ring events, so an extra ring entry would break
-/// the exact per-kind reconciliation. `PoolAcquire`/`PoolRelease`
-/// additionally move the sink's in-flight gauge, which `trace_wf` checks
-/// against the merged counters (`acquired == released + in_flight`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetOutcome {
-    /// Pool slots handed out (count = slots).
-    PoolAcquire,
-    /// Pool slots returned (count = slots).
-    PoolRelease,
-    /// Acquire attempts that found the pool empty (count = attempts).
-    PoolExhausted,
-    /// One zero-copy receive batch (count = frames).
-    RxBatch,
-    /// One zero-copy transmit batch (count = frames).
-    TxBatch,
-    /// Frames steered to the local queue's CPU (count = frames).
-    SteerHit,
-    /// Frames delivered to the wrong queue for their flow (count =
-    /// frames).
-    SteerMiss,
-    /// Frames copied out of the pool into owned buffers (count =
-    /// frames).
-    Fallback,
-}
-
-impl NetOutcome {
-    fn count_into(self, net: &mut NetCounters, n: u64) {
-        match self {
-            NetOutcome::PoolAcquire => net.pool_acquired += n,
-            NetOutcome::PoolRelease => net.pool_released += n,
-            NetOutcome::PoolExhausted => net.pool_exhausted += n,
-            NetOutcome::RxBatch => {
-                net.rx_zc_batches += 1;
-                net.rx_zc_frames += n;
-            }
-            NetOutcome::TxBatch => {
-                net.tx_zc_batches += 1;
-                net.tx_zc_frames += n;
-            }
-            NetOutcome::SteerHit => net.steer_hits += n,
-            NetOutcome::SteerMiss => net.steer_misses += n,
-            NetOutcome::Fallback => net.fallback_copies += n,
-        }
-    }
-}
-
-/// One zero-copy-block-datapath observation. Like [`NetOutcome`] these
-/// are counter-only annotations: batched SQ/CQ work already emits
-/// `DriverTx`/`DriverRx` ring events (device = NVMe), so an extra ring
-/// entry would break the exact per-kind reconciliation.
-/// `PoolAcquire`/`PoolRelease` additionally move the sink's blk
-/// in-flight gauge, which `trace_wf` checks against the merged counters
-/// (`acquired == released + in_flight`), alongside the global
-/// `reap_ios <= submit_ios` completion bound.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BlkOutcome {
-    /// Pool slots handed out (count = slots).
-    PoolAcquire,
-    /// Pool slots returned (count = slots).
-    PoolRelease,
-    /// Acquire attempts that found the pool empty (count = attempts).
-    PoolExhausted,
-    /// One batched SQ doorbell ring (count = I/O commands).
-    SubmitBatch,
-    /// One batched CQ reap pass (count = completions).
-    ReapBatch,
-    /// Parked reapers woken by a completion over the direct-handoff
-    /// fast path (count = wakeups).
-    Wakeup,
-    /// Blocks copied out of the pool into owned buffers (count =
-    /// blocks).
-    Fallback,
-}
-
-impl BlkOutcome {
-    fn count_into(self, blk: &mut BlkCounters, n: u64) {
-        match self {
-            BlkOutcome::PoolAcquire => blk.pool_acquired += n,
-            BlkOutcome::PoolRelease => blk.pool_released += n,
-            BlkOutcome::PoolExhausted => blk.pool_exhausted += n,
-            BlkOutcome::SubmitBatch => {
-                blk.submit_batches += 1;
-                blk.submit_ios += n;
-            }
-            BlkOutcome::ReapBatch => {
-                blk.reap_batches += 1;
-                blk.reap_ios += n;
-            }
-            BlkOutcome::Wakeup => blk.wakeups += n,
-            BlkOutcome::Fallback => blk.fallback_copies += n,
-        }
-    }
-}
-
-/// One event-driven-httpd observation. Like [`NetOutcome`] these are
-/// counter-only annotations: the connection shards, timer wheels and
-/// ready rings are app-level structures whose datapath work already
-/// rides the driver's `DriverRx`/`DriverTx` ring events, so an extra
-/// ring entry would break the exact per-kind reconciliation.
-/// `ReadyBatch` additionally lands the ready-set size in the sink's
-/// ready-batch histogram — with `n == 0` allowed, because an empty
-/// event-loop iteration is itself a sample (it is what makes idle cost
-/// O(ready), and `trace_wf` balances the histogram's sample count
-/// against `httpd.polls`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HttpdOutcome {
-    /// Connections opened (count = connections).
-    Accept,
-    /// Connections closed (count = connections).
-    Close,
-    /// Requests fully served (count = requests).
-    Served,
-    /// Keepalive-timer closes (count = connections).
-    TimeoutKeepalive,
-    /// Read-header-timer closes — slowloris (count = connections).
-    TimeoutHeader,
-    /// Write-drain-timer closes (count = connections).
-    TimeoutDrain,
-    /// Timer-wheel nodes moved or fired by cascades (count = nodes).
-    WheelCascade,
-    /// Connections parked on pool exhaustion (count = connections).
-    Parked,
-    /// Parked connections resumed (count = connections).
-    Unparked,
-    /// Requests rejected by the parser (count = requests).
-    Malformed,
-    /// One event-loop iteration (count = ready entries drained; zero
-    /// is meaningful and recorded).
-    ReadyBatch,
-}
-
-impl HttpdOutcome {
-    fn count_into(self, httpd: &mut HttpdCounters, n: u64) {
-        match self {
-            HttpdOutcome::Accept => httpd.accepts += n,
-            HttpdOutcome::Close => httpd.closes += n,
-            HttpdOutcome::Served => httpd.served += n,
-            HttpdOutcome::TimeoutKeepalive => httpd.timeouts_keepalive += n,
-            HttpdOutcome::TimeoutHeader => httpd.timeouts_header += n,
-            HttpdOutcome::TimeoutDrain => httpd.timeouts_drain += n,
-            HttpdOutcome::WheelCascade => httpd.wheel_cascades += n,
-            HttpdOutcome::Parked => httpd.parked += n,
-            HttpdOutcome::Unparked => httpd.unparked += n,
-            HttpdOutcome::Malformed => httpd.malformed += n,
-            HttpdOutcome::ReadyBatch => httpd.polls += 1,
-        }
-    }
-}
-
-/// One multi-tenant-scheduler observation. Like [`FastpathOutcome`]
-/// these are counter-only annotations: run-queue picks already emit
-/// their own `ContextSwitch` ring events when `current` changes, so an
-/// extra ring entry would break the exact per-kind reconciliation.
-/// Picks themselves go through
-/// [`TraceSink::sched_pick`], which additionally lands the pick's
-/// wall-clock cost (converted to modeled cycles, like lock hold times)
-/// in the sink's pick-latency histogram — the measured O(1) claim.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedOutcome {
-    /// Threads enqueued onto a run-queue level (count = threads).
-    Enqueue,
-    /// Threads removed from the run queues (count = threads).
-    Remove,
-    /// Threads parked off the run queues — container throttled
-    /// (count = threads).
-    Park,
-    /// Parked threads re-enqueued after a refill (count = threads).
-    Unpark,
-    /// Container accounts throttled on budget exhaustion (count =
-    /// accounts).
-    Throttle,
-    /// Container accounts unthrottled by the refill wheel (count =
-    /// accounts).
-    Unthrottle,
-    /// Budget refills performed by the timer wheel (count = refills).
-    Refill,
-    /// IPC direct handoffs that inherited the client's budget account
-    /// (count = handoffs).
-    InheritHandoff,
-    /// MLFQ level demotions (count = threads).
-    Demote,
-}
-
-impl SchedOutcome {
-    fn count_into(self, sched: &mut SchedCounters, n: u64) {
-        match self {
-            SchedOutcome::Enqueue => sched.enqueues += n,
-            SchedOutcome::Remove => sched.removes += n,
-            SchedOutcome::Park => sched.parked += n,
-            SchedOutcome::Unpark => sched.unparked += n,
-            SchedOutcome::Throttle => sched.throttles += n,
-            SchedOutcome::Unthrottle => sched.unthrottles += n,
-            SchedOutcome::Refill => sched.refills += n,
-            SchedOutcome::InheritHandoff => sched.inherited_handoffs += n,
-            SchedOutcome::Demote => sched.demotions += n,
-        }
-    }
-}
-
-/// One node-replication observation. Like [`VmOutcome`] these are
-/// counter-only annotations: replica reads and log appends decorate
-/// syscalls that already emit their own enter/exit ring events, so an
-/// extra ring entry would break the exact per-kind reconciliation.
-/// `Append` additionally lands an [`AuditDelta::NrAppended`] ledger
-/// entry when audit recording is on, so the incremental auditor can
-/// balance the ledger sum against the logs' published tails.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NrOutcome {
-    /// Ops appended to a shared operation log (count = ops).
-    Append,
-    /// Flat-combining flushes this CPU performed, draining every CPU's
-    /// pending slot (count = non-empty flushes).
-    CombineBatch,
-    /// Ops replayed into a replica to bring it to the tail (count =
-    /// ops).
-    Replay,
-    /// Read syscalls served lock-free from the local replica (count =
-    /// reads).
-    ReadLocal,
-    /// Read syscalls served by the locked domain path instead (count =
-    /// reads).
-    FallbackLocked,
-}
-
-impl NrOutcome {
-    fn count_into(self, nr: &mut NrCounters, n: u64) {
-        match self {
-            NrOutcome::Append => nr.appended += n,
-            NrOutcome::CombineBatch => nr.combine_batches += n,
-            NrOutcome::Replay => nr.replayed += n,
-            NrOutcome::ReadLocal => nr.read_local += n,
-            NrOutcome::FallbackLocked => nr.fallback_locked += n,
         }
     }
 }
@@ -396,8 +86,8 @@ struct PerCpuTrace {
     kinds: [u64; NUM_EVENT_KINDS],
     /// Per-syscall-kind statistics.
     syscalls: Vec<SyscallStats>,
-    /// This shard's counter block; the snapshot merges all shards.
-    counters: Counters,
+    /// This shard's counters, gauges and histograms.
+    state: TraceState,
     /// This shard's pending audit-ledger entries (drained by the
     /// incremental auditor; empty whenever recording is off). Lives
     /// outside the event ring: ledger entries must never be dropped to
@@ -411,32 +101,41 @@ impl PerCpuTrace {
             ring: EventRing::new(ring_capacity),
             kinds: [0; NUM_EVENT_KINDS],
             syscalls: vec![SyscallStats::default(); NUM_SYSCALL_KINDS],
-            counters: Counters::default(),
+            state: TraceState::default(),
             ledger: Vec::new(),
         }
     }
 }
 
-/// The sink-global audit latency/size histograms (modeled cycles for
-/// audit latencies, entry counts for the touched histogram). Sink-global
-/// like the pool gauges: audits run on one thread at a time.
-#[derive(Clone, Debug, Default)]
-struct AuditHists {
-    incremental: LatencyHist,
-    full: LatencyHist,
-    touched: LatencyHist,
+/// The calling CPU's shard as a [`TraceSink::record`] closure sees it:
+/// the shard's [`TraceState`] (through `Deref`) and its audit ledger.
+pub struct Shard<'a> {
+    state: &'a mut TraceState,
+    ledger: &'a mut Vec<AuditDelta>,
+    recording: &'a AtomicBool,
 }
 
-/// The sink-global lock acquisition-*wait* histograms (modeled cycles a
-/// syscall spent catching its meter up to a domain lock's published
-/// model time — the DES analogue of spinning on a contended lock). Kept
-/// apart from the per-shard `LockCounters`, which track real hold times:
-/// waits are modeled-time and recorded at the few serialization points,
-/// so one global mutex'd pair is cheap and merges exactly.
-#[derive(Clone, Debug, Default)]
-struct LockWaitHists {
-    pm: LatencyHist,
-    mem: LatencyHist,
+impl Shard<'_> {
+    /// Appends `d` to the shard's audit ledger when recording is on, so a
+    /// counter update and its ledger delta share one acquisition.
+    pub fn audit(&mut self, d: AuditDelta) {
+        if self.recording.load(Ordering::Relaxed) {
+            self.ledger.push(d);
+        }
+    }
+}
+
+impl Deref for Shard<'_> {
+    type Target = TraceState;
+    fn deref(&self) -> &TraceState {
+        self.state
+    }
+}
+
+impl DerefMut for Shard<'_> {
+    fn deref_mut(&mut self) -> &mut TraceState {
+        self.state
+    }
 }
 
 thread_local! {
@@ -455,34 +154,10 @@ pub struct TraceSink {
     /// Merged counter values at the previous `trace_wf` audit
     /// (monotonicity low-water mark).
     low_water: Mutex<Counters>,
-    /// Packet-pool slots currently in flight (acquired − released). A
-    /// gauge, not a counter: it moves both ways, so it lives outside the
-    /// monotone [`Counters`] block. Kept sink-global (not per shard)
-    /// because a `PktBuf` may be released on a different CPU than it was
-    /// acquired on; `trace_wf` balances it against the *merged* pool
-    /// counters.
-    net_in_flight: Mutex<i64>,
-    /// Block-pool slots currently in flight (acquired − released); same
-    /// gauge discipline as `net_in_flight`, for `BlkBuf` handles.
-    blk_in_flight: Mutex<i64>,
     /// Whether mutations should emit [`AuditDelta`]s into the per-CPU
     /// ledgers. Off by default so kernels that never audit incrementally
     /// pay one relaxed atomic load per choke point and store nothing.
     audit_recording: AtomicBool,
-    /// Audit latency and touched-set histograms.
-    audit_hists: Mutex<AuditHists>,
-    /// Ready-set sizes per httpd event-loop iteration. Sink-global like
-    /// the audit histograms: each shard's event loop records its own
-    /// ticks, and the merged `httpd.polls` counter balances the sample
-    /// count exactly.
-    httpd_ready_hist: Mutex<LatencyHist>,
-    /// Per-domain lock acquisition-wait histograms.
-    lock_wait_hists: Mutex<LockWaitHists>,
-    /// Run-queue pick costs (wall-clock nanoseconds converted to
-    /// modeled cycles, like lock hold times). Sink-global like the
-    /// audit histograms; the merged `sched.picks` counter balances the
-    /// sample count exactly.
-    sched_pick_hist: Mutex<LatencyHist>,
 }
 
 /// A shared reference to a kernel's trace sink.
@@ -497,13 +172,7 @@ impl TraceSink {
                 .map(|_| Mutex::new(PerCpuTrace::new(ring_capacity)))
                 .collect(),
             low_water: Mutex::new(Counters::default()),
-            net_in_flight: Mutex::new(0),
-            blk_in_flight: Mutex::new(0),
             audit_recording: AtomicBool::new(false),
-            audit_hists: Mutex::new(AuditHists::default()),
-            httpd_ready_hist: Mutex::new(LatencyHist::default()),
-            lock_wait_hists: Mutex::new(LockWaitHists::default()),
-            sched_pick_hist: Mutex::new(LatencyHist::default()),
         })
     }
 
@@ -514,7 +183,7 @@ impl TraceSink {
         let start = Instant::now();
         let r = f(&mut shard);
         let held = ns_to_cycles(start.elapsed().as_nanos() as u64);
-        let lc = &mut shard.counters.locks.trace;
+        let lc = &mut shard.state.counters.locks.trace;
         lc.acquisitions += 1;
         if contended {
             lc.contended += 1;
@@ -579,115 +248,76 @@ impl TraceSink {
         });
     }
 
-    /// Records a domain-lock acquisition observed by a [`DomainLock`]
-    /// in the kernel crate, attributed to `cpu`'s shard.
-    ///
-    /// [`DomainLock`]: https://docs.rs/atmo-kernel
-    pub fn lock_event(&self, cpu: usize, domain: LockDomain, contended: bool, hold_cycles: u64) {
+    /// Records one released acquisition of a domain lock, attributed to
+    /// `cpu`'s shard: the hold, and the modeled cycles the acquirer
+    /// waited to observe the domain (`wait`, when it synced its meter;
+    /// the trace domain has no modeled serialization, so its waits are
+    /// ignored).
+    pub fn lock_event(
+        &self,
+        cpu: usize,
+        domain: LockDomain,
+        contended: bool,
+        hold_cycles: u64,
+        wait: Option<u64>,
+    ) {
         self.with_shard(cpu, |shard| {
-            let lc = match domain {
-                LockDomain::Pm => &mut shard.counters.locks.pm,
-                LockDomain::Mem => &mut shard.counters.locks.mem,
-                LockDomain::Trace => &mut shard.counters.locks.trace,
+            let st = &mut shard.state;
+            let (lc, waits) = match domain {
+                LockDomain::Pm => (&mut st.counters.locks.pm, Some(&mut st.lock_wait_pm_hist)),
+                LockDomain::Mem => (&mut st.counters.locks.mem, Some(&mut st.lock_wait_mem_hist)),
+                LockDomain::Trace => (&mut st.counters.locks.trace, None),
             };
             lc.acquisitions += 1;
             if contended {
                 lc.contended += 1;
             }
             lc.hold_max_cycles = lc.hold_max_cycles.max(hold_cycles);
-        });
-    }
-
-    /// Records the modeled cycles one acquisition of `domain` spent
-    /// waiting (catching its meter up to the lock's published model
-    /// time). Zero waits are recorded too — uncontended acquisitions
-    /// belong in the distribution. The trace domain has no modeled
-    /// serialization, so its waits are ignored.
-    pub fn lock_wait(&self, domain: LockDomain, cycles: u64) {
-        let mut h = lock_recovering(&self.lock_wait_hists);
-        match domain {
-            LockDomain::Pm => h.pm.record(cycles),
-            LockDomain::Mem => h.mem.record(cycles),
-            LockDomain::Trace => {}
-        }
-    }
-
-    /// Counts `n` node-replication observations on the CPU attributed
-    /// to this OS thread. Counter-only, no ring event (see
-    /// [`NrOutcome`]); appends additionally land an audit-ledger entry
-    /// when recording is on, so the auditor can balance appended ops
-    /// against the logs' published tails.
-    pub fn nr_event(&self, outcome: NrOutcome, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let audit = self.audit_recording();
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            if audit {
-                if let NrOutcome::Append = outcome {
-                    shard.ledger.push(AuditDelta::NrAppended(n));
-                }
+            if let (Some(h), Some(w)) = (waits, wait) {
+                h.record(w);
             }
-            outcome.count_into(&mut shard.counters.nr, n)
         });
     }
 
-    /// Counts an IPC fastpath outcome on the CPU attributed to this OS
-    /// thread. Counter-only, no ring event (see [`FastpathOutcome`]).
-    pub fn fastpath_event(&self, outcome: FastpathOutcome) {
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            outcome.count_into(&mut shard.counters.pm.fastpath)
-        });
-    }
-
-    /// Counts `n` batched-VM-datapath observations on the CPU attributed
-    /// to this OS thread. Counter-only, no ring event (see
-    /// [`VmOutcome`]).
-    pub fn vm_event(&self, outcome: VmOutcome, n: u64) {
+    /// Records `n` observations on the CPU attributed to this OS thread:
+    /// `f` updates the shard's counters, gauges, histograms and audit
+    /// ledger under one acquisition. These are counter-only annotations
+    /// of work whose ring events (if any) are emitted separately, so
+    /// nothing enters the ring. A zero `n` records nothing, so sites can
+    /// pass batch sizes unfiltered; a sample that means something at
+    /// zero (an empty event-loop poll) passes `n = 1` and captures its
+    /// value.
+    pub fn record(&self, n: u64, f: impl FnOnce(&mut Shard<'_>, u64)) {
         if n == 0 {
             return;
         }
         self.with_shard(CURRENT_CPU.get(), |shard| {
-            outcome.count_into(&mut shard.counters.vm, n)
+            let mut view = Shard {
+                state: &mut shard.state,
+                ledger: &mut shard.ledger,
+                recording: &self.audit_recording,
+            };
+            f(&mut view, n)
         });
     }
 
-    /// Counts `n` zero-copy-network-datapath observations on the CPU
-    /// attributed to this OS thread. Counter-only, no ring event (see
-    /// [`NetOutcome`]); pool acquire/release additionally move the
-    /// in-flight gauge.
-    pub fn net_event(&self, outcome: NetOutcome, n: u64) {
-        if n == 0 {
-            return;
-        }
-        match outcome {
-            NetOutcome::PoolAcquire => *lock_recovering(&self.net_in_flight) += n as i64,
-            NetOutcome::PoolRelease => *lock_recovering(&self.net_in_flight) -= n as i64,
-            _ => {}
-        }
-        let audit = self.audit_recording();
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            // Handle movements double as audit-ledger entries, so pool
-            // users need no extra instrumentation.
-            if audit {
-                match outcome {
-                    NetOutcome::PoolAcquire => {
-                        shard.ledger.push(AuditDelta::HandleNet(n as i64));
-                    }
-                    NetOutcome::PoolRelease => {
-                        shard.ledger.push(AuditDelta::HandleNet(-(n as i64)));
-                    }
-                    _ => {}
-                }
-            }
-            outcome.count_into(&mut shard.counters.net, n)
-        });
+    fn merged_gauge(&self, gauge: impl Fn(&TraceState) -> i64) -> i64 {
+        self.shards
+            .iter()
+            .map(|m| gauge(&lock_recovering(m).state))
+            .sum()
     }
 
     /// Packet-pool slots currently in flight (acquired − released across
     /// all CPUs).
     pub fn net_in_flight(&self) -> i64 {
-        *lock_recovering(&self.net_in_flight)
+        self.merged_gauge(|s| s.net_in_flight)
+    }
+
+    /// Block-pool slots currently in flight (acquired − released across
+    /// all CPUs).
+    pub fn blk_in_flight(&self) -> i64 {
+        self.merged_gauge(|s| s.blk_in_flight)
     }
 
     /// Turns audit-delta recording on or off. Turning it off leaves any
@@ -730,112 +360,8 @@ impl TraceSink {
             .sum()
     }
 
-    /// Records one completed audit on the CPU attributed to this OS
-    /// thread: an incremental audit that folded `touched` ledger
-    /// entries, or a full stop-the-world audit (`touched` ignored).
-    /// `cycles` is the audit's wall-clock cost converted to modeled
-    /// cycles (like lock hold times).
-    pub fn audit_event(&self, incremental: bool, touched: u64, cycles: u64) {
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            let a = &mut shard.counters.audit;
-            if incremental {
-                a.incremental += 1;
-                a.touched_entries += touched;
-            } else {
-                a.full += 1;
-            }
-        });
-        let mut h = lock_recovering(&self.audit_hists);
-        if incremental {
-            h.incremental.record(cycles);
-            h.touched.record(touched);
-        } else {
-            h.full.record(cycles);
-        }
-    }
-
-    /// Records one run-queue pick on the CPU attributed to this OS
-    /// thread: the shard's `sched.picks` counter advances and the
-    /// pick's cost (wall-clock nanoseconds converted to modeled cycles,
-    /// like lock hold times) lands in the sink's pick-latency
-    /// histogram. One method for both so the histogram's sample count
-    /// balances `sched.picks` exactly under `trace_wf`.
-    pub fn sched_pick(&self, cycles: u64) {
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            shard.counters.sched.picks += 1;
-        });
-        lock_recovering(&self.sched_pick_hist).record(cycles);
-    }
-
-    /// Counts `n` multi-tenant-scheduler observations on the CPU
-    /// attributed to this OS thread. Counter-only, no ring event (see
-    /// [`SchedOutcome`]); budget grant/charge/refund movements emit
-    /// their own [`AuditDelta`]s at the account sites, not here.
-    pub fn sched_event(&self, outcome: SchedOutcome, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            outcome.count_into(&mut shard.counters.sched, n)
-        });
-    }
-
-    /// Counts `n` zero-copy-block-datapath observations on the CPU
-    /// attributed to this OS thread. Counter-only, no ring event (see
-    /// [`BlkOutcome`]); pool acquire/release additionally move the blk
-    /// in-flight gauge.
-    pub fn blk_event(&self, outcome: BlkOutcome, n: u64) {
-        if n == 0 {
-            return;
-        }
-        match outcome {
-            BlkOutcome::PoolAcquire => *lock_recovering(&self.blk_in_flight) += n as i64,
-            BlkOutcome::PoolRelease => *lock_recovering(&self.blk_in_flight) -= n as i64,
-            _ => {}
-        }
-        let audit = self.audit_recording();
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            if audit {
-                match outcome {
-                    BlkOutcome::PoolAcquire => {
-                        shard.ledger.push(AuditDelta::HandleBlk(n as i64));
-                    }
-                    BlkOutcome::PoolRelease => {
-                        shard.ledger.push(AuditDelta::HandleBlk(-(n as i64)));
-                    }
-                    _ => {}
-                }
-            }
-            outcome.count_into(&mut shard.counters.blk, n)
-        });
-    }
-
-    /// Block-pool slots currently in flight (acquired − released across
-    /// all CPUs).
-    pub fn blk_in_flight(&self) -> i64 {
-        *lock_recovering(&self.blk_in_flight)
-    }
-
-    /// Counts `n` event-driven-httpd observations on the CPU attributed
-    /// to this OS thread. Counter-only, no ring event (see
-    /// [`HttpdOutcome`]). Unlike the other subsystem events,
-    /// `ReadyBatch` is recorded even for `n == 0`: an empty event-loop
-    /// iteration is a sample of the O(ready) claim, and its size lands
-    /// in the sink's ready-batch histogram.
-    pub fn httpd_event(&self, outcome: HttpdOutcome, n: u64) {
-        if n == 0 && outcome != HttpdOutcome::ReadyBatch {
-            return;
-        }
-        if outcome == HttpdOutcome::ReadyBatch {
-            lock_recovering(&self.httpd_ready_hist).record(n);
-        }
-        self.with_shard(CURRENT_CPU.get(), |shard| {
-            outcome.count_into(&mut shard.counters.httpd, n)
-        });
-    }
-
     /// Builds the merged snapshot: per-CPU ring summaries, merged
-    /// per-kind syscall statistics and the merged subsystem counters.
+    /// per-kind syscall statistics and the merged [`TraceState`].
     ///
     /// Shards are read one at a time, so each per-CPU summary is
     /// internally coherent; the cross-CPU merge is exact whenever the
@@ -846,7 +372,7 @@ impl TraceSink {
         let mut per_cpu = Vec::with_capacity(self.shards.len());
         let mut merged_kinds = [0u64; NUM_EVENT_KINDS];
         let mut merged: Vec<SyscallStats> = vec![SyscallStats::default(); NUM_SYSCALL_KINDS];
-        let mut counters = Counters::default();
+        let mut state = TraceState::default();
         let mut total_events = 0u64;
         let mut total_dropped = 0u64;
         for (cpu, mutex) in self.shards.iter().enumerate() {
@@ -861,7 +387,7 @@ impl TraceSink {
                 m.errs += s.errs;
                 m.hist.merge(&s.hist);
             }
-            counters.merge(&c.counters);
+            state.merge(&c.state);
             total_events += c.ring.head();
             total_dropped += c.ring.dropped();
             per_cpu.push(CpuSummary {
@@ -892,26 +418,14 @@ impl TraceSink {
                 }
             })
             .collect();
-        let hists = lock_recovering(&self.audit_hists);
-        let waits = lock_recovering(&self.lock_wait_hists);
-        let ready = lock_recovering(&self.httpd_ready_hist);
-        let picks = lock_recovering(&self.sched_pick_hist);
-        let httpd_conns_live = counters.httpd.accepts as i64 - counters.httpd.closes as i64;
+        let httpd = &state.counters.httpd;
+        let httpd_conns_live = httpd.accepts as i64 - httpd.closes as i64;
         Snapshot {
             per_cpu,
             syscalls,
             kinds: merged_kinds,
-            counters,
-            net_in_flight: self.net_in_flight(),
-            blk_in_flight: self.blk_in_flight(),
-            audit_incremental_hist: hists.incremental.clone(),
-            audit_full_hist: hists.full.clone(),
-            audit_touched_hist: hists.touched.clone(),
-            lock_wait_pm_hist: waits.pm.clone(),
-            lock_wait_mem_hist: waits.mem.clone(),
+            state,
             httpd_conns_live,
-            httpd_ready_hist: ready.clone(),
-            sched_pick_hist: picks.clone(),
             total_events,
             total_dropped,
         }
@@ -927,7 +441,7 @@ impl fmt::Debug for TraceSink {
 }
 
 fn apply(shard: &mut PerCpuTrace, ev: KernelEvent) {
-    let counters = &mut shard.counters;
+    let counters = &mut shard.state.counters;
     match ev {
         KernelEvent::ContextSwitch { .. } => counters.pm.context_switches += 1,
         KernelEvent::EndpointSend { rendezvous, .. } => {
@@ -1003,15 +517,18 @@ fn apply(shard: &mut PerCpuTrace, ev: KernelEvent) {
 ///   (`exits ≤ enters ≤ exits + 1`);
 /// * per shard, the subsystem counters reconcile with that shard's
 ///   per-kind event counts (e.g. `pm.context_switches` = `ContextSwitch`
-///   events) — a *stronger* statement than the old global-sink check,
-///   because counters and events are updated under the same shard lock;
+///   events), because counters and events are updated under the same
+///   shard lock;
+/// * on the merged [`TraceState`], every histogram is coherent, the pool
+///   gauges balance their ledgers, the nr/httpd/sched/audit bounds hold
+///   and each sampled histogram holds exactly its counter's samples;
 /// * no merged counter has decreased since the previous audit
 ///   (low-water mark, raised on every check).
 pub fn trace_wf(sink: &TraceSink) -> VerifResult {
     let mut kind_totals = [0u64; NUM_EVENT_KINDS];
     let mut enter_total = 0u64;
     let mut exit_total = 0u64;
-    let mut merged = Counters::default();
+    let mut st = TraceState::default();
     for (cpu, mutex) in sink.shards.iter().enumerate() {
         let c = lock_recovering(mutex);
         c.ring.wf()?;
@@ -1057,7 +574,7 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
             enter_total += s.enters;
             exit_total += s.exits;
         }
-        let ctrs = c.counters;
+        let ctrs = &c.state.counters;
         let pairs = [
             (
                 "pm.context_switches",
@@ -1113,51 +630,56 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
             "trace",
             format!("cpu {cpu}: more shootdown pages flushed than deferred"),
         )?;
-        merged.merge(&ctrs);
+        st.merge(&c.state);
     }
-    // Pool ledger: slots in flight are exactly the acquired-but-not-yet-
-    // released ones. Checked on the merged view only — a PktBuf may be
+    let mut hists_wf = Ok(());
+    st.visit(&mut Vec::new(), &mut |_, field| {
+        if let (Field::Hist(h), Ok(())) = (field, &hists_wf) {
+            hists_wf = h.wf();
+        }
+    });
+    hists_wf?;
+    let m = &st.counters;
+    // Pool ledgers: slots in flight are exactly the acquired-but-not-yet-
+    // released ones. Checked on the merged view only — a handle may be
     // released on a different CPU than it was acquired on, so per-shard
-    // released can legitimately exceed per-shard acquired.
-    let in_flight = *lock_recovering(&sink.net_in_flight);
-    check(
-        in_flight >= 0,
-        "trace",
-        format!("net pool gauge negative: {in_flight} slots in flight"),
-    )?;
-    check(
-        merged.net.pool_acquired == merged.net.pool_released + in_flight as u64,
-        "trace",
-        format!(
-            "net pool ledger: {} acquired != {} released + {in_flight} in flight",
-            merged.net.pool_acquired, merged.net.pool_released
+    // gauges can legitimately go negative.
+    for (pool, acquired, released, in_flight) in [
+        (
+            "net",
+            m.net.pool_acquired,
+            m.net.pool_released,
+            st.net_in_flight,
         ),
-    )?;
-    // Block-pool ledger: same merged-view discipline as the net pool —
-    // a BlkBuf may be reaped and released on a different CPU than it
-    // was acquired on.
-    let blk_in_flight = *lock_recovering(&sink.blk_in_flight);
-    check(
-        blk_in_flight >= 0,
-        "trace",
-        format!("blk pool gauge negative: {blk_in_flight} slots in flight"),
-    )?;
-    check(
-        merged.blk.pool_acquired == merged.blk.pool_released + blk_in_flight as u64,
-        "trace",
-        format!(
-            "blk pool ledger: {} acquired != {} released + {blk_in_flight} in flight",
-            merged.blk.pool_acquired, merged.blk.pool_released
+        (
+            "blk",
+            m.blk.pool_acquired,
+            m.blk.pool_released,
+            st.blk_in_flight,
         ),
-    )?;
+    ] {
+        check(
+            in_flight >= 0,
+            "trace",
+            format!("{pool} pool gauge negative: {in_flight} slots in flight"),
+        )?;
+        check(
+            acquired == released + in_flight as u64,
+            "trace",
+            format!(
+                "{pool} pool ledger: {acquired} acquired != {released} released + \
+                 {in_flight} in flight"
+            ),
+        )?;
+    }
     // Completions are reaped from prior submissions; globally the CQ can
     // never return more I/Os than the SQ accepted.
     check(
-        merged.blk.reap_ios <= merged.blk.submit_ios,
+        m.blk.reap_ios <= m.blk.submit_ios,
         "trace",
         format!(
             "blk queues reaped {} I/Os but only {} were submitted",
-            merged.blk.reap_ios, merged.blk.submit_ios
+            m.blk.reap_ios, m.blk.submit_ios
         ),
     )?;
     // Node-replication accounting: every flat-combining flush drains at
@@ -1167,163 +689,141 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
     // replica count is bounded by the shard count, since replicas are
     // per-CPU.
     check(
-        merged.nr.combine_batches <= merged.nr.appended,
+        m.nr.combine_batches <= m.nr.appended,
         "trace",
         format!(
             "nr log: {} combine batches but only {} appended ops",
-            merged.nr.combine_batches, merged.nr.appended
+            m.nr.combine_batches, m.nr.appended
         ),
     )?;
     check(
-        merged.nr.replayed <= merged.nr.appended * (sink.shards.len() as u64 + 1),
+        m.nr.replayed <= m.nr.appended * (sink.shards.len() as u64 + 1),
         "trace",
         format!(
             "nr log: {} replayed ops exceeds {} appended × ({} replicas + 1)",
-            merged.nr.replayed,
-            merged.nr.appended,
+            m.nr.replayed,
+            m.nr.appended,
             sink.shards.len()
         ),
     )?;
-    // Lock-wait histograms: internally coherent, and each recorded wait
-    // annotates one domain-lock acquisition, so samples can never
-    // outnumber acquisitions.
-    {
-        let waits = lock_recovering(&sink.lock_wait_hists);
-        waits.pm.wf()?;
-        waits.mem.wf()?;
-        check(
-            waits.pm.count() <= merged.locks.pm.acquisitions
-                && waits.mem.count() <= merged.locks.mem.acquisitions,
-            "trace",
-            format!(
-                "lock-wait histograms hold {}/{} samples for {}/{} pm/mem acquisitions",
-                waits.pm.count(),
-                waits.mem.count(),
-                merged.locks.pm.acquisitions,
-                merged.locks.mem.acquisitions
-            ),
-        )?;
-    }
+    // Each recorded wait annotates one domain-lock acquisition, so
+    // samples can never outnumber acquisitions.
+    check(
+        st.lock_wait_pm_hist.count() <= m.locks.pm.acquisitions
+            && st.lock_wait_mem_hist.count() <= m.locks.mem.acquisitions,
+        "trace",
+        format!(
+            "lock-wait histograms hold {}/{} samples for {}/{} pm/mem acquisitions",
+            st.lock_wait_pm_hist.count(),
+            st.lock_wait_mem_hist.count(),
+            m.locks.pm.acquisitions,
+            m.locks.mem.acquisitions
+        ),
+    )?;
     // Event-driven httpd accounting: the live gauge (accepts − closes)
     // never goes negative, timeout-driven closes are a subset of all
     // closes, parked connections resume at most once, and the ready-
     // batch histogram holds exactly one sample per event-loop poll —
     // every iteration records its ready-set size, empty ones included.
     check(
-        merged.httpd.closes <= merged.httpd.accepts,
+        m.httpd.closes <= m.httpd.accepts,
         "trace",
         format!(
             "httpd ledger: {} closes exceed {} accepts",
-            merged.httpd.closes, merged.httpd.accepts
+            m.httpd.closes, m.httpd.accepts
         ),
     )?;
     check(
-        merged.httpd.timeouts_keepalive
-            + merged.httpd.timeouts_header
-            + merged.httpd.timeouts_drain
-            <= merged.httpd.closes,
+        m.httpd.timeouts_keepalive + m.httpd.timeouts_header + m.httpd.timeouts_drain
+            <= m.httpd.closes,
         "trace",
         format!(
             "httpd timeouts {}+{}+{} exceed {} closes",
-            merged.httpd.timeouts_keepalive,
-            merged.httpd.timeouts_header,
-            merged.httpd.timeouts_drain,
-            merged.httpd.closes
+            m.httpd.timeouts_keepalive,
+            m.httpd.timeouts_header,
+            m.httpd.timeouts_drain,
+            m.httpd.closes
         ),
     )?;
     check(
-        merged.httpd.unparked <= merged.httpd.parked,
+        m.httpd.unparked <= m.httpd.parked,
         "trace",
         format!(
             "httpd backpressure: {} unparked but only {} parked",
-            merged.httpd.unparked, merged.httpd.parked
+            m.httpd.unparked, m.httpd.parked
         ),
     )?;
-    {
-        let ready = lock_recovering(&sink.httpd_ready_hist);
-        ready.wf()?;
-        check(
-            ready.count() == merged.httpd.polls,
-            "trace",
-            format!(
-                "ready-batch histogram holds {} samples for {} polls",
-                ready.count(),
-                merged.httpd.polls
-            ),
-        )?;
-    }
+    check(
+        st.httpd_ready_hist.count() == m.httpd.polls,
+        "trace",
+        format!(
+            "ready-batch histogram holds {} samples for {} polls",
+            st.httpd_ready_hist.count(),
+            m.httpd.polls
+        ),
+    )?;
     // Multi-tenant-scheduler accounting: a parked thread resumes at
     // most once per park, an account unthrottles at most once per
     // throttle, and the pick-latency histogram holds exactly one
-    // sample per run-queue pick — `sched_pick` moves both under the
-    // same call, so a drifted pair means a lost or forged sample.
+    // sample per run-queue pick — one `record` moves both, so a
+    // drifted pair means a lost or forged sample.
     check(
-        merged.sched.unparked <= merged.sched.parked,
+        m.sched.unparked <= m.sched.parked,
         "trace",
         format!(
             "sched parking: {} unparked but only {} parked",
-            merged.sched.unparked, merged.sched.parked
+            m.sched.unparked, m.sched.parked
         ),
     )?;
     check(
-        merged.sched.unthrottles <= merged.sched.throttles,
+        m.sched.unthrottles <= m.sched.throttles,
         "trace",
         format!(
             "sched budgets: {} unthrottles but only {} throttles",
-            merged.sched.unthrottles, merged.sched.throttles
+            m.sched.unthrottles, m.sched.throttles
         ),
     )?;
-    {
-        let picks = lock_recovering(&sink.sched_pick_hist);
-        picks.wf()?;
-        check(
-            picks.count() == merged.sched.picks,
-            "trace",
-            format!(
-                "pick-latency histogram holds {} samples for {} picks",
-                picks.count(),
-                merged.sched.picks
-            ),
-        )?;
-    }
+    check(
+        st.sched_pick_hist.count() == m.sched.picks,
+        "trace",
+        format!(
+            "pick-latency histogram holds {} samples for {} picks",
+            st.sched_pick_hist.count(),
+            m.sched.picks
+        ),
+    )?;
     // Every full audit folds the pending ledger first (that fold is
     // counted as an incremental audit), so incremental audits can never
     // trail full ones.
     check(
-        merged.audit.incremental >= merged.audit.full,
+        m.audit.incremental >= m.audit.full,
         "trace",
         format!(
             "audit ledger: {} incremental audits but {} full audits",
-            merged.audit.incremental, merged.audit.full
+            m.audit.incremental, m.audit.full
         ),
     )?;
-    {
-        let hists = lock_recovering(&sink.audit_hists);
-        hists.incremental.wf()?;
-        hists.full.wf()?;
-        hists.touched.wf()?;
-        check(
-            hists.incremental.count() == merged.audit.incremental
-                && hists.full.count() == merged.audit.full,
-            "trace",
-            format!(
-                "audit histograms hold {}/{} samples for {}/{} audits",
-                hists.incremental.count(),
-                hists.full.count(),
-                merged.audit.incremental,
-                merged.audit.full
-            ),
-        )?;
-        check(
-            hists.touched.total_cycles() == merged.audit.touched_entries,
-            "trace",
-            format!(
-                "touched-entry histogram sums {} entries but counters saw {}",
-                hists.touched.total_cycles(),
-                merged.audit.touched_entries
-            ),
-        )?;
-    }
+    check(
+        st.audit_incremental_hist.count() == m.audit.incremental
+            && st.audit_full_hist.count() == m.audit.full,
+        "trace",
+        format!(
+            "audit histograms hold {}/{} samples for {}/{} audits",
+            st.audit_incremental_hist.count(),
+            st.audit_full_hist.count(),
+            m.audit.incremental,
+            m.audit.full
+        ),
+    )?;
+    check(
+        st.audit_touched_hist.total_cycles() == m.audit.touched_entries,
+        "trace",
+        format!(
+            "touched-entry histogram sums {} entries but counters saw {}",
+            st.audit_touched_hist.total_cycles(),
+            m.audit.touched_entries
+        ),
+    )?;
     check(
         kind_totals[EventKind::SyscallEnter.index()] == enter_total
             && kind_totals[EventKind::SyscallExit.index()] == exit_total,
@@ -1331,8 +831,8 @@ pub fn trace_wf(sink: &TraceSink) -> VerifResult {
         "per-kind syscall stats disagree with event counts",
     )?;
     let mut low = lock_recovering(&sink.low_water);
-    merged.monotone_since(&low)?;
-    *low = merged;
+    st.counters.monotone_since(&low)?;
+    *low = st.counters;
     Ok(())
 }
 
@@ -1376,65 +876,10 @@ impl TraceShare {
         }
     }
 
-    /// Counts an IPC fastpath outcome (no-op when detached).
-    pub fn fastpath(&self, outcome: FastpathOutcome) {
+    /// [`TraceSink::record`] on the attached sink (no-op when detached).
+    pub fn record(&self, n: u64, f: impl FnOnce(&mut Shard<'_>, u64)) {
         if let Some(sink) = &self.0 {
-            sink.fastpath_event(outcome);
-        }
-    }
-
-    /// Counts `n` batched-VM-datapath observations (no-op when
-    /// detached).
-    pub fn vm(&self, outcome: VmOutcome, n: u64) {
-        if let Some(sink) = &self.0 {
-            sink.vm_event(outcome, n);
-        }
-    }
-
-    /// Counts `n` zero-copy-network-datapath observations (no-op when
-    /// detached).
-    pub fn net(&self, outcome: NetOutcome, n: u64) {
-        if let Some(sink) = &self.0 {
-            sink.net_event(outcome, n);
-        }
-    }
-
-    /// Counts `n` zero-copy-block-datapath observations (no-op when
-    /// detached).
-    pub fn blk(&self, outcome: BlkOutcome, n: u64) {
-        if let Some(sink) = &self.0 {
-            sink.blk_event(outcome, n);
-        }
-    }
-
-    /// Counts `n` node-replication observations (no-op when detached).
-    pub fn nr(&self, outcome: NrOutcome, n: u64) {
-        if let Some(sink) = &self.0 {
-            sink.nr_event(outcome, n);
-        }
-    }
-
-    /// Counts `n` event-driven-httpd observations (no-op when
-    /// detached).
-    pub fn httpd(&self, outcome: HttpdOutcome, n: u64) {
-        if let Some(sink) = &self.0 {
-            sink.httpd_event(outcome, n);
-        }
-    }
-
-    /// Records one run-queue pick costing `cycles` (no-op when
-    /// detached).
-    pub fn sched_pick(&self, cycles: u64) {
-        if let Some(sink) = &self.0 {
-            sink.sched_pick(cycles);
-        }
-    }
-
-    /// Counts `n` multi-tenant-scheduler observations (no-op when
-    /// detached).
-    pub fn sched(&self, outcome: SchedOutcome, n: u64) {
-        if let Some(sink) = &self.0 {
-            sink.sched_event(outcome, n);
+            sink.record(n, f);
         }
     }
 
@@ -1473,6 +918,7 @@ impl Eq for TraceShare {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::DeviceKind;
 
     #[test]
     fn emissions_are_counted_and_wf_holds() {
@@ -1497,33 +943,16 @@ mod tests {
     }
 
     #[test]
-    fn wf_detects_counter_regression() {
-        let sink = TraceSink::new(1, 8);
-        sink.emit(KernelEvent::ContextSwitch {
-            cpu: 0,
-            from: None,
-            to: Some(1),
-        });
-        assert!(trace_wf(&sink).is_ok());
-        // Forge a regression on the shard: counter no longer matches the
-        // shard's own event count.
-        lock_recovering(&sink.shards[0])
-            .counters
-            .pm
-            .context_switches = 0;
-        assert!(trace_wf(&sink).is_err());
-    }
-
-    #[test]
     fn shares_compare_equal_regardless_of_attachment() {
         let a = TraceShare::detached();
         let b = TraceShare::new(TraceSink::new(1, 4));
         assert_eq!(a, b);
         b.emit(KernelEvent::DriverRx {
-            device: crate::event::DeviceKind::Ixgbe,
+            device: DeviceKind::Ixgbe,
             batch: 32,
         });
         assert_eq!(b.handle().unwrap().snapshot().counters.drivers.rx_items, 32);
+        a.record(1, |t, n| t.counters.vm.map_batch_hits += n);
     }
 
     #[test]
@@ -1541,259 +970,86 @@ mod tests {
     }
 
     #[test]
-    fn lock_events_accumulate_per_domain() {
+    fn lock_events_accumulate_per_domain_with_their_waits() {
         let sink = TraceSink::new(2, 8);
-        sink.lock_event(0, LockDomain::Pm, false, 100);
-        sink.lock_event(0, LockDomain::Pm, true, 700);
-        sink.lock_event(1, LockDomain::Mem, false, 40);
+        sink.lock_event(0, LockDomain::Pm, false, 100, Some(0));
+        sink.lock_event(0, LockDomain::Pm, true, 700, None);
+        sink.lock_event(1, LockDomain::Mem, false, 40, Some(4200));
+        sink.lock_event(1, LockDomain::Trace, false, 40, Some(9));
         let snap = sink.snapshot();
         assert_eq!(snap.counters.locks.pm.acquisitions, 2);
         assert_eq!(snap.counters.locks.pm.contended, 1);
         assert_eq!(snap.counters.locks.pm.hold_max_cycles, 700);
         assert_eq!(snap.counters.locks.mem.acquisitions, 1);
         assert!(
-            snap.counters.locks.trace.acquisitions >= 3,
+            snap.counters.locks.trace.acquisitions >= 4,
             "shard locks self-instrument"
         );
-        assert!(trace_wf(&sink).is_ok());
-    }
-
-    #[test]
-    fn fastpath_events_accumulate_without_ring_entries() {
-        let sink = TraceSink::new(1, 8);
-        sink.set_cpu(0);
-        // A hit performs a rendezvous delivery: the same event pair the
-        // slow path emits, plus the counter-only outcome.
-        sink.emit(KernelEvent::EndpointSend {
-            endpoint: 0x1000,
-            rendezvous: true,
-        });
-        sink.emit(KernelEvent::EndpointRecv {
-            endpoint: 0x1000,
-            rendezvous: false,
-        });
-        sink.fastpath_event(FastpathOutcome::Hit);
-        sink.fastpath_event(FastpathOutcome::CrossCpu);
-        sink.fastpath_event(FastpathOutcome::SlotCacheHit);
-        let snap = sink.snapshot();
-        assert_eq!(snap.counters.pm.fastpath.hits, 1);
-        assert_eq!(snap.counters.pm.fastpath.fallback_cross_cpu, 1);
-        assert_eq!(snap.counters.pm.fastpath.slot_cache_hits, 1);
-        assert_eq!(snap.counters.pm.fastpath.fallbacks(), 1);
-        assert_eq!(snap.total_events, 2, "outcomes never enter the ring");
-        assert!(trace_wf(&sink).is_ok(), "{:?}", trace_wf(&sink));
-    }
-
-    #[test]
-    fn net_events_accumulate_and_balance_the_pool_ledger() {
-        let sink = TraceSink::new(2, 16);
-        sink.set_cpu(0);
-        sink.net_event(NetOutcome::PoolAcquire, 32);
-        sink.net_event(NetOutcome::RxBatch, 32);
-        sink.net_event(NetOutcome::SteerHit, 32);
-        // The batch is transmitted — and released — on the other CPU:
-        // the ledger must still balance on the merged view.
-        sink.set_cpu(1);
-        sink.net_event(NetOutcome::TxBatch, 32);
-        sink.net_event(NetOutcome::PoolRelease, 24);
-        assert_eq!(sink.net_in_flight(), 8);
-        assert!(trace_wf(&sink).is_ok(), "{:?}", trace_wf(&sink));
-        let snap = sink.snapshot();
-        assert_eq!(snap.counters.net.pool_acquired, 32);
-        assert_eq!(snap.counters.net.pool_released, 24);
-        assert_eq!(snap.net_in_flight, 8);
-        assert_eq!(snap.counters.net.rx_zc_batches, 1);
-        assert_eq!(snap.counters.net.rx_zc_frames, 32);
-        assert_eq!(snap.counters.net.tx_zc_frames, 32);
-        assert_eq!(snap.counters.net.steer_hits, 32);
-        assert_eq!(snap.total_events, 0, "outcomes never enter the ring");
-        sink.net_event(NetOutcome::PoolRelease, 8);
-        assert_eq!(sink.net_in_flight(), 0);
-        assert!(trace_wf(&sink).is_ok());
-    }
-
-    #[test]
-    fn blk_events_accumulate_and_balance_the_pool_ledger() {
-        let sink = TraceSink::new(2, 16);
-        sink.set_cpu(0);
-        sink.blk_event(BlkOutcome::PoolAcquire, 32);
-        sink.blk_event(BlkOutcome::SubmitBatch, 32);
-        // Completions are reaped — and buffers released — on the other
-        // CPU: the ledger must still balance on the merged view.
-        sink.set_cpu(1);
-        sink.blk_event(BlkOutcome::ReapBatch, 32);
-        sink.blk_event(BlkOutcome::Wakeup, 1);
-        sink.blk_event(BlkOutcome::PoolRelease, 24);
-        assert_eq!(sink.blk_in_flight(), 8);
-        assert!(trace_wf(&sink).is_ok(), "{:?}", trace_wf(&sink));
-        let snap = sink.snapshot();
-        assert_eq!(snap.counters.blk.pool_acquired, 32);
-        assert_eq!(snap.counters.blk.pool_released, 24);
-        assert_eq!(snap.blk_in_flight, 8);
-        assert_eq!(snap.counters.blk.submit_batches, 1);
-        assert_eq!(snap.counters.blk.submit_ios, 32);
-        assert_eq!(snap.counters.blk.reap_batches, 1);
-        assert_eq!(snap.counters.blk.reap_ios, 32);
-        assert_eq!(snap.counters.blk.wakeups, 1);
-        assert_eq!(snap.total_events, 0, "outcomes never enter the ring");
-        sink.blk_event(BlkOutcome::PoolRelease, 8);
-        assert_eq!(sink.blk_in_flight(), 0);
-        assert!(trace_wf(&sink).is_ok());
-    }
-
-    #[test]
-    fn nr_events_accumulate_and_ledger_appends_when_recording() {
-        let sink = TraceSink::new(2, 8);
-        sink.set_cpu(0);
-        sink.nr_event(NrOutcome::Append, 3);
-        sink.nr_event(NrOutcome::CombineBatch, 1);
-        sink.nr_event(NrOutcome::Replay, 3);
-        sink.set_cpu(1);
-        sink.nr_event(NrOutcome::Replay, 3);
-        sink.nr_event(NrOutcome::ReadLocal, 10);
-        sink.nr_event(NrOutcome::FallbackLocked, 2);
-        assert!(trace_wf(&sink).is_ok(), "{:?}", trace_wf(&sink));
-        let snap = sink.snapshot();
-        assert_eq!(snap.counters.nr.appended, 3);
-        assert_eq!(snap.counters.nr.combine_batches, 1);
-        assert_eq!(snap.counters.nr.replayed, 6);
-        assert_eq!(snap.counters.nr.read_local, 10);
-        assert_eq!(snap.counters.nr.fallback_locked, 2);
-        assert_eq!(snap.total_events, 0, "outcomes never enter the ring");
-        assert_eq!(sink.audit_ledger_len(), 0, "no ledger while recording off");
-        sink.set_audit_recording(true);
-        sink.nr_event(NrOutcome::Append, 2);
-        sink.nr_event(NrOutcome::ReadLocal, 1);
-        assert_eq!(sink.audit_ledger_len(), 1, "only appends enter the ledger");
-        let mut drained = Vec::new();
-        sink.drain_audit_ledgers(&mut drained);
-        assert_eq!(drained, vec![AuditDelta::NrAppended(2)]);
-    }
-
-    #[test]
-    fn sched_events_accumulate_and_picks_balance_the_histogram() {
-        let sink = TraceSink::new(2, 8);
-        sink.set_cpu(0);
-        sink.sched_event(SchedOutcome::Enqueue, 3);
-        sink.sched_pick(120);
-        sink.sched_event(SchedOutcome::Park, 2);
-        sink.sched_event(SchedOutcome::Throttle, 1);
-        sink.set_cpu(1);
-        sink.sched_pick(80);
-        sink.sched_event(SchedOutcome::Unpark, 2);
-        sink.sched_event(SchedOutcome::Unthrottle, 1);
-        sink.sched_event(SchedOutcome::Refill, 1);
-        sink.sched_event(SchedOutcome::InheritHandoff, 4);
-        assert!(trace_wf(&sink).is_ok(), "{:?}", trace_wf(&sink));
-        let snap = sink.snapshot();
-        assert_eq!(snap.counters.sched.picks, 2);
-        assert_eq!(snap.counters.sched.enqueues, 3);
-        assert_eq!(snap.counters.sched.parked, 2);
-        assert_eq!(snap.counters.sched.unparked, 2);
-        assert_eq!(snap.counters.sched.inherited_handoffs, 4);
-        assert_eq!(snap.sched_pick_hist.count(), 2);
-        assert_eq!(snap.total_events, 0, "outcomes never enter the ring");
-    }
-
-    #[test]
-    fn wf_rejects_unpark_without_park_and_forged_pick_samples() {
-        let sink = TraceSink::new(1, 8);
-        sink.set_cpu(0);
-        sink.sched_event(SchedOutcome::Unpark, 1);
-        assert!(trace_wf(&sink).is_err(), "unpark without a park must fail");
-        let sink = TraceSink::new(1, 8);
-        sink.set_cpu(0);
-        sink.sched_pick(50);
-        assert!(trace_wf(&sink).is_ok());
-        lock_recovering(&sink.shards[0]).counters.sched.picks += 1;
-        assert!(
-            trace_wf(&sink).is_err(),
-            "a pick without a histogram sample must fail wf"
-        );
-    }
-
-    #[test]
-    fn wf_rejects_more_combine_batches_than_appends() {
-        let sink = TraceSink::new(1, 8);
-        sink.set_cpu(0);
-        sink.nr_event(NrOutcome::Append, 1);
-        sink.nr_event(NrOutcome::CombineBatch, 1);
-        assert!(trace_wf(&sink).is_ok());
-        sink.nr_event(NrOutcome::CombineBatch, 1);
-        assert!(
-            trace_wf(&sink).is_err(),
-            "a combine batch with no appended op must fail wf"
-        );
-    }
-
-    #[test]
-    fn lock_waits_land_in_per_domain_histograms() {
-        let sink = TraceSink::new(2, 8);
-        sink.lock_event(0, LockDomain::Pm, false, 10);
-        sink.lock_event(0, LockDomain::Mem, false, 10);
-        sink.lock_wait(LockDomain::Pm, 0);
-        sink.lock_wait(LockDomain::Mem, 4200);
-        assert!(trace_wf(&sink).is_ok(), "{:?}", trace_wf(&sink));
-        let snap = sink.snapshot();
         assert_eq!(snap.lock_wait_pm_hist.count(), 1);
         assert_eq!(snap.lock_wait_pm_hist.max(), 0, "zero waits are recorded");
         assert_eq!(snap.lock_wait_mem_hist.count(), 1);
         assert_eq!(snap.lock_wait_mem_hist.max(), 4200);
-        assert!(snap.render().contains("lock.wait_cycles.mem"));
+        assert!(snap.render().contains("lock_wait_mem_hist"));
+        assert!(trace_wf(&sink).is_ok(), "{:?}", trace_wf(&sink));
     }
 
     #[test]
-    fn wf_rejects_more_waits_than_acquisitions() {
+    fn records_skip_zero_counts_and_never_enter_the_ring() {
         let sink = TraceSink::new(1, 8);
-        sink.lock_wait(LockDomain::Pm, 100);
-        assert!(
-            trace_wf(&sink).is_err(),
-            "a wait sample with no acquisition must fail wf"
+        sink.set_cpu(0);
+        sink.record(0, |t, n| t.counters.vm.map_batch_hits += n);
+        assert_eq!(
+            sink.snapshot().counters.locks.trace.acquisitions,
+            0,
+            "a zero count takes no shard acquisition"
         );
+        sink.record(3, |t, n| t.counters.vm.map_batch_hits += n);
+        let snap = sink.snapshot();
+        assert_eq!(snap.counters.vm.map_batch_hits, 3);
+        assert_eq!(snap.counters.locks.trace.acquisitions, 1);
+        assert_eq!(snap.total_events, 0, "records never enter the ring");
     }
 
     #[test]
-    fn wf_rejects_blk_reaps_exceeding_submissions() {
-        let sink = TraceSink::new(1, 8);
+    fn pool_gauges_balance_across_cpus() {
+        let sink = TraceSink::new(2, 16);
         sink.set_cpu(0);
-        sink.blk_event(BlkOutcome::SubmitBatch, 4);
-        sink.blk_event(BlkOutcome::ReapBatch, 4);
-        assert!(trace_wf(&sink).is_ok());
-        sink.blk_event(BlkOutcome::ReapBatch, 1);
-        assert!(
-            trace_wf(&sink).is_err(),
-            "reaping more I/Os than were submitted must fail wf"
-        );
+        sink.record(32, |t, n| {
+            t.counters.net.pool_acquired += n;
+            t.net_in_flight += n as i64;
+        });
+        // Released on the other CPU: that shard's gauge goes negative,
+        // the merged one balances.
+        sink.set_cpu(1);
+        sink.record(24, |t, n| {
+            t.counters.net.pool_released += n;
+            t.net_in_flight -= n as i64;
+        });
+        assert_eq!(sink.net_in_flight(), 8);
+        assert_eq!(sink.snapshot().net_in_flight, 8);
+        assert!(trace_wf(&sink).is_ok(), "{:?}", trace_wf(&sink));
     }
 
     #[test]
-    fn wf_rejects_unbalanced_blk_pool_ledger() {
-        let sink = TraceSink::new(1, 8);
+    fn ledger_deltas_share_the_record_and_need_recording() {
+        let sink = TraceSink::new(2, 8);
         sink.set_cpu(0);
-        sink.blk_event(BlkOutcome::PoolAcquire, 4);
-        assert!(trace_wf(&sink).is_ok(), "in-flight slots are accounted");
-        lock_recovering(&sink.shards[0]).counters.blk.pool_released += 1;
-        assert!(trace_wf(&sink).is_err(), "ledger imbalance must fail wf");
-    }
-
-    #[test]
-    fn wf_rejects_unbalanced_pool_ledger() {
-        let sink = TraceSink::new(1, 8);
-        sink.set_cpu(0);
-        sink.net_event(NetOutcome::PoolAcquire, 4);
-        assert!(trace_wf(&sink).is_ok(), "in-flight slots are accounted");
-        // Forge a leak: the counter says released but the gauge did not
-        // move (a slot dropped on the floor without a release event).
-        lock_recovering(&sink.shards[0]).counters.net.pool_released += 1;
-        assert!(trace_wf(&sink).is_err(), "ledger imbalance must fail wf");
-    }
-
-    #[test]
-    fn wf_rejects_hits_exceeding_rendezvous() {
-        let sink = TraceSink::new(1, 8);
-        sink.set_cpu(0);
-        sink.fastpath_event(FastpathOutcome::Hit);
-        assert!(trace_wf(&sink).is_err(), "hit without rendezvous delivery");
+        let append = |n| {
+            sink.record(n, |t, n| {
+                t.counters.nr.appended += n;
+                t.audit(AuditDelta::NrAppended(n));
+            })
+        };
+        append(3);
+        assert_eq!(sink.audit_ledger_len(), 0, "no ledger while recording off");
+        sink.set_audit_recording(true);
+        append(2);
+        sink.record(1, |t, n| t.counters.nr.read_local += n);
+        assert_eq!(sink.audit_ledger_len(), 1, "only appends enter the ledger");
+        let mut drained = Vec::new();
+        sink.drain_audit_ledgers(&mut drained);
+        assert_eq!(drained, vec![AuditDelta::NrAppended(2)]);
+        assert_eq!(sink.snapshot().counters.nr.appended, 5);
     }
 
     #[test]
@@ -1822,5 +1078,169 @@ mod tests {
         assert_eq!(snap.per_cpu[0].kinds[EventKind::PtUnmap.index()], 0);
         assert_eq!(snap.per_cpu[1].kinds[EventKind::PtUnmap.index()], 100);
         assert!(trace_wf(&sink).is_ok());
+    }
+
+    /// A sink whose shard 0 has seen one event of every kind, one
+    /// completed `call` and one pm acquisition with its wait, and which
+    /// passes `trace_wf` (so every corruption starts from a well-formed
+    /// state).
+    fn populated() -> TraceHandle {
+        let sink = TraceSink::new(2, 64);
+        sink.syscall_enter(0, SyscallKind::Call);
+        let nic = DeviceKind::Ixgbe;
+        for ev in [
+            KernelEvent::ContextSwitch {
+                cpu: 0,
+                from: None,
+                to: Some(1),
+            },
+            KernelEvent::EndpointSend {
+                endpoint: 1,
+                rendezvous: false,
+            },
+            KernelEvent::EndpointRecv {
+                endpoint: 1,
+                rendezvous: false,
+            },
+            KernelEvent::PageAlloc {
+                frames: 1,
+                closure_delta: 1,
+            },
+            KernelEvent::PageFree {
+                frames: 1,
+                closure_delta: -1,
+            },
+            KernelEvent::PtMap { va: 0, frames: 1 },
+            KernelEvent::PtUnmap { va: 0, frames: 1 },
+            KernelEvent::DriverRx {
+                device: nic,
+                batch: 1,
+            },
+            KernelEvent::DriverTx {
+                device: nic,
+                batch: 1,
+            },
+        ] {
+            sink.emit(ev);
+        }
+        sink.syscall_exit(0, SyscallKind::Call, ReturnClass::Ok, 100);
+        sink.lock_event(0, LockDomain::Pm, false, 1, Some(0));
+        trace_wf(&sink).expect("populated sink is well formed");
+        sink
+    }
+
+    /// One corruption per `trace_wf` check, each refuted with the
+    /// diagnostic that names its check. Per-shard checks are corrupted
+    /// on shard 0; merged-view checks on the idle shard 1, so a merge
+    /// that dropped the field would let the corruption through.
+    #[test]
+    fn every_trace_wf_check_refutes_its_corruption() {
+        type Corrupt = fn(&mut PerCpuTrace);
+        const CALL: usize = SyscallKind::Call as usize;
+        const YIELD: usize = SyscallKind::Yield as usize;
+        let cases: [(usize, &str, Corrupt); 36] = [
+            (0, "counted events but ring head", |s| s.kinds[0] += 1),
+            (0, "histogram holds 1 samples for 2 exits", |s| {
+                s.syscalls[CALL].exits += 1
+            }),
+            (0, "ok+errs != exits", |s| s.syscalls[CALL].ok += 1),
+            (0, "2 enters vs 0 exits", |s| s.syscalls[YIELD].enters += 2),
+            (0, "counter pm.context_switches =", |s| {
+                s.state.counters.pm.context_switches += 1
+            }),
+            (0, "counter pm.ipc_sends =", |s| {
+                s.state.counters.pm.ipc_sends += 1
+            }),
+            (0, "counter pm.ipc_recvs =", |s| {
+                s.state.counters.pm.ipc_recvs += 1
+            }),
+            (0, "counter mem.allocs =", |s| {
+                s.state.counters.mem.allocs += 1
+            }),
+            (0, "counter mem.frees =", |s| {
+                s.state.counters.mem.frees += 1
+            }),
+            (0, "counter ptable.maps =", |s| {
+                s.state.counters.ptable.maps += 1
+            }),
+            (0, "counter ptable.unmaps =", |s| {
+                s.state.counters.ptable.unmaps += 1
+            }),
+            (0, "counter drivers.rx_batches =", |s| {
+                s.state.counters.drivers.rx_batches += 1
+            }),
+            (0, "counter drivers.tx_batches =", |s| {
+                s.state.counters.drivers.tx_batches += 1
+            }),
+            (0, "more rendezvous than IPC operations", |s| {
+                s.state.counters.pm.rendezvous += 3
+            }),
+            (0, "more fastpath hits than rendezvous", |s| {
+                s.state.counters.pm.fastpath.hits += 1
+            }),
+            (0, "more shootdown pages flushed than deferred", |s| {
+                s.state.counters.vm.tlb_shootdowns_flushed += 1
+            }),
+            (0, "per-kind syscall stats disagree", |s| {
+                s.syscalls[YIELD].enters += 1
+            }),
+            (1, "net pool gauge negative", |s| s.state.net_in_flight -= 1),
+            (1, "net pool ledger", |s| {
+                s.state.counters.net.pool_acquired += 1
+            }),
+            (1, "blk pool gauge negative", |s| s.state.blk_in_flight -= 1),
+            (1, "blk pool ledger", |s| {
+                s.state.counters.blk.pool_released += 1
+            }),
+            (1, "blk queues reaped", |s| {
+                s.state.counters.blk.reap_ios += 1
+            }),
+            (1, "combine batches but only", |s| {
+                s.state.counters.nr.combine_batches += 1
+            }),
+            (1, "replayed ops exceeds", |s| {
+                s.state.counters.nr.replayed += 1
+            }),
+            (1, "lock-wait histograms hold", |s| {
+                s.state.lock_wait_mem_hist.record(5)
+            }),
+            (1, "httpd ledger", |s| s.state.counters.httpd.closes += 1),
+            (1, "httpd timeouts", |s| {
+                s.state.counters.httpd.timeouts_drain += 1
+            }),
+            (1, "httpd backpressure", |s| {
+                s.state.counters.httpd.unparked += 1
+            }),
+            (1, "ready-batch histogram holds", |s| {
+                s.state.counters.httpd.polls += 1
+            }),
+            (1, "sched parking", |s| s.state.counters.sched.unparked += 1),
+            (1, "sched budgets", |s| {
+                s.state.counters.sched.unthrottles += 1
+            }),
+            (1, "pick-latency histogram holds", |s| {
+                s.state.sched_pick_hist.record(9)
+            }),
+            (1, "audit ledger", |s| s.state.counters.audit.full += 1),
+            (1, "audit histograms hold", |s| {
+                s.state.audit_incremental_hist.record(9)
+            }),
+            (1, "touched-entry histogram sums", |s| {
+                s.state.counters.audit.touched_entries += 1
+            }),
+            (0, "counter locks.pm.acquisitions decreased: 1 -> 0", |s| {
+                s.state.counters.locks.pm.acquisitions = 0;
+                s.state.lock_wait_pm_hist = LatencyHist::default();
+            }),
+        ];
+        for (shard, diagnostic, corrupt) in cases {
+            let sink = populated();
+            corrupt(&mut lock_recovering(&sink.shards[shard]));
+            let err = trace_wf(&sink).expect_err(diagnostic).to_string();
+            assert!(
+                err.contains(diagnostic),
+                "corruption for {diagnostic:?} failed with {err:?}"
+            );
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! The merged trace snapshot and its plain-text report rendering.
 
-use crate::counters::Counters;
+use std::ops::Deref;
+
 use crate::event::{EventKind, SyscallKind, NUM_EVENT_KINDS};
-use crate::hist::LatencyHist;
+use crate::schema::{Field, Schema, TraceState};
 
 /// One CPU's ring summary at snapshot time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,44 +67,23 @@ pub struct Snapshot {
     pub syscalls: Vec<SyscallSummary>,
     /// Merged event counts by [`EventKind`].
     pub kinds: [u64; NUM_EVENT_KINDS],
-    /// Subsystem counters.
-    pub counters: Counters,
-    /// Packet-pool slots in flight (acquired − released) at snapshot
-    /// time — a gauge, kept apart from the monotone counters.
-    pub net_in_flight: i64,
-    /// Block-pool slots in flight (acquired − released) at snapshot
-    /// time — the blk datapath's gauge, same discipline.
-    pub blk_in_flight: i64,
-    /// Latency distribution of incremental (ledger-fold) audits, in
-    /// modeled cycles.
-    pub audit_incremental_hist: LatencyHist,
-    /// Latency distribution of full stop-the-world audits.
-    pub audit_full_hist: LatencyHist,
-    /// Distribution of ledger entries folded per incremental audit (the
-    /// touched-set size each O(touched) audit actually paid for).
-    pub audit_touched_hist: LatencyHist,
-    /// Distribution of modeled cycles syscalls waited to acquire the pm
-    /// domain lock (meter catch-up to the lock's model time).
-    pub lock_wait_pm_hist: LatencyHist,
-    /// Distribution of modeled cycles syscalls waited to acquire the
-    /// mem domain lock.
-    pub lock_wait_mem_hist: LatencyHist,
+    /// The merged counters, gauges and histograms (field access goes
+    /// through `Deref`, e.g. `snap.counters.pm.ipc_sends`).
+    pub state: TraceState,
     /// Live httpd connections (accepts − closes) at snapshot time — a
-    /// gauge derived from the merged counters, kept apart from the
-    /// monotone blocks like the pool in-flight gauges.
+    /// gauge derived from the merged counters.
     pub httpd_conns_live: i64,
-    /// Distribution of ready-set sizes per httpd event-loop iteration
-    /// (one sample per poll, empty iterations included — the measured
-    /// form of the O(ready) event-loop claim).
-    pub httpd_ready_hist: LatencyHist,
-    /// Distribution of run-queue pick costs in modeled cycles (one
-    /// sample per pick — the measured form of the O(1)-in-tenants
-    /// scheduler claim).
-    pub sched_pick_hist: LatencyHist,
     /// Events ever pushed across all CPUs.
     pub total_events: u64,
     /// Events overwritten across all CPUs.
     pub total_dropped: u64,
+}
+
+impl Deref for Snapshot {
+    type Target = TraceState;
+    fn deref(&self) -> &TraceState {
+        &self.state
+    }
 }
 
 impl Snapshot {
@@ -184,83 +164,29 @@ impl Snapshot {
                 })
                 .collect(),
         ));
-        out.push_str("\n== Trace snapshot: lock wait (modeled cycles) ==\n");
-        let waits = [
-            ("lock.wait_cycles.pm", &self.lock_wait_pm_hist),
-            ("lock.wait_cycles.mem", &self.lock_wait_mem_hist),
-        ];
-        out.push_str(&table(
-            &["Domain", "Waits", "Mean", "p50", "p90", "p99", "Max"],
-            waits
-                .iter()
-                .map(|(name, h)| {
-                    vec![
-                        name.to_string(),
-                        format!("{}", h.count()),
-                        format!("{}", h.mean()),
-                        format!("{}", h.p50()),
-                        format!("{}", h.p90()),
-                        format!("{}", h.p99()),
-                        format!("{}", h.max()),
-                    ]
-                })
-                .collect(),
-        ));
-        out.push_str("\n== Trace snapshot: wf audits ==\n");
-        let audits = [
-            ("audit.incremental", &self.audit_incremental_hist),
-            ("audit.full", &self.audit_full_hist),
-            ("audit.touched_entries", &self.audit_touched_hist),
-        ];
-        out.push_str(&table(
-            &["Audit", "Count", "Mean", "p50", "p90", "p99", "Max"],
-            audits
-                .iter()
-                .map(|(name, h)| {
-                    vec![
-                        name.to_string(),
-                        format!("{}", h.count()),
-                        format!("{}", h.mean()),
-                        format!("{}", h.p50()),
-                        format!("{}", h.p90()),
-                        format!("{}", h.p99()),
-                        format!("{}", h.max()),
-                    ]
-                })
-                .collect(),
-        ));
-        if self.httpd_ready_hist.count() > 0 || self.counters.httpd.accepts > 0 {
-            out.push_str("\n== Trace snapshot: httpd event core ==\n");
-            let h = &self.httpd_ready_hist;
-            out.push_str(&table(
-                &["Metric", "Count", "Mean", "p50", "p90", "p99", "Max"],
-                vec![vec![
-                    "httpd.ready_batch".to_string(),
+        out.push_str("\n== Trace snapshot: histograms ==\n");
+        let mut hists = Vec::new();
+        let mut gauges = Vec::new();
+        self.state
+            .visit(&mut Vec::new(), &mut |path, field| match field {
+                Field::Hist(h) => hists.push(vec![
+                    path.join("."),
                     format!("{}", h.count()),
                     format!("{}", h.mean()),
                     format!("{}", h.p50()),
                     format!("{}", h.p90()),
                     format!("{}", h.p99()),
                     format!("{}", h.max()),
-                ]],
-            ));
-        }
-        if self.sched_pick_hist.count() > 0 {
-            out.push_str("\n== Trace snapshot: scheduler picks ==\n");
-            let h = &self.sched_pick_hist;
-            out.push_str(&table(
-                &["Metric", "Count", "Mean", "p50", "p90", "p99", "Max"],
-                vec![vec![
-                    "sched.pick_cycles".to_string(),
-                    format!("{}", h.count()),
-                    format!("{}", h.mean()),
-                    format!("{}", h.p50()),
-                    format!("{}", h.p90()),
-                    format!("{}", h.p99()),
-                    format!("{}", h.max()),
-                ]],
-            ));
-        }
+                ]),
+                Field::Gauge(v) => {
+                    gauges.push(vec![format!("{} (gauge)", path.join(".")), format!("{v}")])
+                }
+                Field::Counter(_) => {}
+            });
+        out.push_str(&table(
+            &["Histogram", "Samples", "Mean", "p50", "p90", "p99", "Max"],
+            hists,
+        ));
         out.push_str("\n== Trace snapshot: events and subsystem counters ==\n");
         let mut rows: Vec<Vec<String>> = EventKind::ALL
             .iter()
@@ -272,16 +198,9 @@ impl Snapshot {
             })
             .collect();
         for (name, v) in self.counters.flat() {
-            rows.push(vec![name.to_string(), format!("{v}")]);
+            rows.push(vec![name, format!("{v}")]);
         }
-        rows.push(vec![
-            "net.in_flight (gauge)".to_string(),
-            format!("{}", self.net_in_flight),
-        ]);
-        rows.push(vec![
-            "blk.in_flight (gauge)".to_string(),
-            format!("{}", self.blk_in_flight),
-        ]);
+        rows.extend(gauges);
         rows.push(vec![
             "httpd.conns_live (gauge)".to_string(),
             format!("{}", self.httpd_conns_live),

@@ -4,10 +4,12 @@
 //! parked queue, expiry scratch, wheel slab) are preallocated and
 //! recycled; responses serialize straight into pool slots.
 //!
-//! Lives in its own test binary so the counting global allocator does
-//! not see other tests' traffic.
+//! Lives in its own test binary, and the counting global allocator
+//! counts only the thread that is measuring, so neither other tests nor
+//! the test harness's own threads can add to the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use atmosphere::apps::event::HTTP_PAYLOAD_OFFSET;
@@ -21,14 +23,26 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set while this thread is inside the measured window. `const`
+    /// and drop-free, so reading it from the allocator never allocates.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -105,6 +119,7 @@ fn steady_state_event_loop_allocates_nothing() {
 
     // Measured steady state: the same shapes, zero allocations.
     let before = ALLOCS.load(Ordering::Relaxed);
+    MEASURING.set(true);
     for rep in 0..16 {
         for (i, &flow) in flows.iter().enumerate() {
             let req: &[u8] = if (rep + i) % 3 == 0 {
@@ -117,6 +132,7 @@ fn steady_state_event_loop_allocates_nothing() {
             );
         }
     }
+    MEASURING.set(false);
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(
         after - before,

@@ -5,7 +5,7 @@
 
 use atmosphere::hw::{VAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use atmosphere::kernel::refine::audited_syscall;
-use atmosphere::kernel::{Kernel, KernelConfig, SyscallArgs, SyscallError};
+use atmosphere::kernel::{Kernel, KernelConfig, SmpKernel, SyscallArgs, SyscallError};
 use atmosphere::mem::PageSize;
 use atmosphere::spec::harness::Invariant;
 
@@ -597,6 +597,57 @@ fn partial_unmap_demotes_and_preserves_the_other_511() {
         },
     );
     assert!(k.wf().is_ok(), "{:?}", k.wf());
+}
+
+/// `VmResolve`'s `[mapped, writable]` answer for `va`.
+fn resolved(r: atmosphere::kernel::SyscallReturn) -> [u64; 2] {
+    let v = r.result.expect("vm_resolve succeeds");
+    [v[0], v[1]]
+}
+
+#[test]
+fn promoted_run_resolves_on_the_locked_and_replica_paths() {
+    let mut k = boot_big();
+    align_freelist_and_mmap_512(&mut k, 0x4000_0000);
+    let as_id = k.pm.proc(k.init_proc).addr_space;
+    assert!(k
+        .mem
+        .vm
+        .table(as_id)
+        .unwrap()
+        .map_2m
+        .contains_key(&0x4000_0000));
+    let resolve = |va| SyscallArgs::VmResolve { va };
+
+    // Locked path: every page of the run, head and tail included.
+    for va in [0x4000_0000, 0x4000_5123, 0x401f_f000] {
+        assert_eq!(resolved(k.syscall(0, resolve(va))), [1, 1], "{va:#x}");
+    }
+    assert_eq!(resolved(k.syscall(0, resolve(0x4020_0000))), [0, 0]);
+
+    // Replica path: the projection keeps the superpage as one leaf.
+    let k = SmpKernel::new(k);
+    k.enable_nr();
+    let local = || k.trace_snapshot().counters.nr.read_local;
+    let before = local();
+    for va in [0x4000_0000, 0x4000_5123, 0x401f_f000] {
+        assert_eq!(resolved(k.syscall(0, resolve(va))), [1, 1], "{va:#x}");
+    }
+    assert_eq!(local() - before, 3, "answered from the replica");
+
+    // A staged partial unmap demotes the superpage on both sides: the
+    // replica's log entry splits its leaf exactly as the table did.
+    let r = k.syscall(
+        0,
+        SyscallArgs::Munmap {
+            va_base: 0x4000_5000,
+            len: 1,
+        },
+    );
+    assert!(r.is_ok(), "{r:?}");
+    assert_eq!(resolved(k.syscall(0, resolve(0x4000_5000))), [0, 0]);
+    assert_eq!(resolved(k.syscall(0, resolve(0x4000_6000))), [1, 1]);
+    assert!(k.audit_total_wf().is_ok(), "{:?}", k.audit_total_wf());
 }
 
 #[test]
